@@ -21,10 +21,10 @@
 #   make metricsdiff  run the same flow fresh and gate it against
 #                   BENCH_metrics.json with `vpga perf diff` at 50%
 #                   tolerance; exits nonzero on regression
-#   make cachecheck   end-to-end stage-cache self-test: one flow cold
-#                   against a throwaway disk store, rerun warm from a
-#                   fresh process, assert a nonzero hit rate and
-#                   identical outcomes; exits nonzero on divergence
+#   make cachecheck   end-to-end stage-cache self-test: one flow cold,
+#                   rerun warm against the same in-memory cache, once
+#                   more uncached; assert nonzero warm hits and identical
+#                   outcomes; exits nonzero on divergence
 #   make check      the full pre-merge gate: build, test suite, the
 #                   static-analysis suite, the defect-stress matrix, the
 #                   stage-cache self-test, the metrics snapshot diff,

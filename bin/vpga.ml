@@ -193,26 +193,16 @@ let no_cache_flag =
     value & flag
     & info [ "no-cache" ]
         ~doc:
-          "Disable the content-addressed stage cache, recomputing every \
-           stage.  Results are identical either way (a hit replays the \
-           same deterministic artifact); this is the escape hatch for \
-           timing uncached runs or ruling the cache out while debugging.")
-
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:
-          "Persist cache entries under $(docv) so later runs start warm \
-           (entries are versioned by schema tag, so stale formats never \
-           match).  Without it the cache lives in memory for the \
-           duration of the run.  Inspect and bound the store with \
-           $(b,vpga cache).")
+          "Disable the content-addressed stage cache (in memory, for the \
+           duration of the run), recomputing every stage.  Results are \
+           identical either way (a hit replays the same deterministic \
+           artifact); this is the escape hatch for timing uncached runs \
+           or ruling the cache out while debugging.")
 
 let cache_term =
-  let mk no dir = if no then Cache.none else Cache.create ?dir () in
-  Term.(const mk $ no_cache_flag $ cache_dir_arg)
+  Term.(
+    const (fun no -> if no then Cache.none else Cache.create ())
+    $ no_cache_flag)
 
 let print_cache_stats cache =
   let cs = Cache.stats cache in
@@ -642,133 +632,54 @@ let perf_cmd =
     [ diff_cmd ]
 
 let cache_cmd =
-  let dir_arg =
-    Arg.(
-      value
-      & opt string (Cache.default_dir ())
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Cache directory to operate on (default: \
-             \\$XDG_CACHE_HOME/vpga, else ~/.cache/vpga).")
-  in
-  let stats_cmd =
-    let run dir =
-      match Cache.disk_stats ~dir with
-      | [] -> Format.printf "%s: no cache entries@." dir
-      | stages ->
-          Format.printf "%-14s %-16s %8s %12s@." "schema" "stage" "entries"
-            "bytes";
-          let entries = ref 0 and bytes = ref 0 in
-          List.iter
-            (fun s ->
-              entries := !entries + s.Cache.d_entries;
-              bytes := !bytes + s.Cache.d_bytes;
-              Format.printf "%-14s %-16s %8d %12d@." s.Cache.d_schema
-                s.Cache.d_stage s.Cache.d_entries s.Cache.d_bytes)
-            stages;
-          Format.printf "total: %d entries, %d bytes in %s@." !entries !bytes
-            dir
-    in
-    Cmd.v
-      (Cmd.info "stats"
-         ~doc:
-           "Per-schema, per-stage entry counts and sizes of an on-disk cache \
-            (all schema generations, including stale ones).")
-      Term.(const run $ dir_arg)
-  in
-  let clear_cmd =
-    let run dir =
-      let n = Cache.disk_clear ~dir in
-      Format.printf "removed %d entr%s from %s@." n
-        (if n = 1 then "y" else "ies")
-        dir
-    in
-    Cmd.v
-      (Cmd.info "clear"
-         ~doc:"Remove every on-disk cache entry, of every schema generation.")
-      Term.(const run $ dir_arg)
-  in
-  let gc_cmd =
-    let max_bytes_arg =
-      Arg.(
-        required
-        & opt (some int) None
-        & info [ "max-bytes" ] ~docv:"N"
-            ~doc:"Target store size in bytes.")
-    in
-    let run dir max_bytes =
-      let r = Cache.disk_gc ~dir ~max_bytes in
-      Format.printf
-        "kept %d entries (%d bytes), evicted %d entries (%d bytes)@."
-        r.Cache.gc_kept r.Cache.gc_kept_bytes r.Cache.gc_removed
-        r.Cache.gc_removed_bytes
-    in
-    Cmd.v
-      (Cmd.info "gc"
-         ~doc:
-           "Evict least-recently-used entries (every hit refreshes its \
-            entry) until the store fits in $(b,--max-bytes).")
-      Term.(const run $ dir_arg $ max_bytes_arg)
-  in
   let check_cmd =
     let run paper seed =
       let nl = design_of_name paper "alu" in
-      (* A private throwaway store: never touches the user's cache dir. *)
-      let dir =
-        let f = Filename.temp_file "vpga-cachecheck" "" in
-        Sys.remove f;
-        f
-      in
       let archs = [ Arch.lut_plb; Arch.granular_plb ] in
       let flow cache arch = run_flow ~seed ~cache arch nl in
-      let cold_cache = Cache.create ~dir () in
-      let cold = List.map (flow cold_cache) archs in
-      (* Fresh in-memory table: every warm hit must come from disk. *)
-      let warm_cache = Cache.create ~dir () in
-      let warm = List.map (flow warm_cache) archs in
-      let ws = Cache.stats warm_cache in
-      let identical = List.for_all2 (fun a b -> compare a b = 0) cold warm in
-      let entries = Cache.disk_clear ~dir in
-      let rec rm_tree d =
-        if Sys.file_exists d && Sys.is_directory d then begin
-          Array.iter (fun f -> rm_tree (Filename.concat d f)) (Sys.readdir d);
-          try Sys.rmdir d with Sys_error _ -> ()
-        end
-      in
-      rm_tree dir;
+      let cache = Cache.create () in
+      let cold = List.map (flow cache) archs in
+      let cs = Cache.stats cache in
+      (* Warm: the same table again, so its hits are the cold run's puts. *)
+      let warm = List.map (flow cache) archs in
+      let ws = Cache.stats cache in
+      let uncached = List.map (flow Cache.none) archs in
+      let same a b = List.for_all2 (fun x y -> compare x y = 0) a b in
+      let hits = ws.Cache.hits - cs.Cache.hits in
       Format.printf
-        "cold run stored %d entr%s; warm run: %d hit(s) in %d lookup(s) \
-         (%.0f%% hit rate)@."
-        entries
-        (if entries = 1 then "y" else "ies")
-        ws.Cache.hits
-        (ws.Cache.hits + ws.Cache.misses)
-        (100.0 *. Cache.hit_rate ws);
-      if not identical then begin
+        "cold run stored %d entr%s; warm run: %d hit(s), %d miss(es)@."
+        cs.Cache.stores
+        (if cs.Cache.stores = 1 then "y" else "ies")
+        hits
+        (ws.Cache.misses - cs.Cache.misses);
+      if not (same cold warm) then begin
         Format.printf "cache check FAILED: warm outcomes differ from cold@.";
         exit 1
       end;
-      if ws.Cache.hits = 0 then begin
+      if not (same cold uncached) then begin
+        Format.printf
+          "cache check FAILED: cached outcomes differ from uncached@.";
+        exit 1
+      end;
+      if hits = 0 then begin
         Format.printf "cache check FAILED: warm run hit nothing@.";
         exit 1
       end;
-      Format.printf "cache check ok: warm outcomes identical to cold@."
+      Format.printf
+        "cache check ok: warm and uncached outcomes identical to cold@."
     in
     Cmd.v
       (Cmd.info "check"
          ~doc:
-           "Self-test the cache end to end: run a flow cold against a \
-            throwaway disk store, rerun it warm from a fresh process-level \
-            table, and verify the warm outcomes are identical with a \
-            nonzero hit rate.  Exits 1 on any divergence.")
+           "Self-test the cache end to end: run a flow cold, rerun it warm \
+            against the same in-memory cache, run it once more without a \
+            cache, and verify all three outcomes are identical with a \
+            nonzero warm hit count.  Exits 1 on any divergence.")
       Term.(const run $ paper_flag $ seed_arg)
   in
   Cmd.group
-    (Cmd.info "cache"
-       ~doc:
-         "Inspect, bound and validate the content-addressed stage cache \
-          (see $(b,--cache-dir) on flow/sweep/stress).")
-    [ stats_cmd; clear_cmd; gc_cmd; check_cmd ]
+    (Cmd.info "cache" ~doc:"Validate the content-addressed stage cache")
+    [ check_cmd ]
 
 let () =
   let doc = "VPGA logic-block granularity exploration (DATE 2004 reproduction)" in

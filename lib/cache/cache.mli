@@ -1,18 +1,19 @@
 (** Content-addressed artifact store: an in-memory table shared across
-    domains, optionally backed by an on-disk store that survives runs.
+    domains for the lifetime of one process.
 
     Values are stored as [Marshal] snapshots taken at {!put} time, and
     every hit deserializes a fresh copy — so neither the producer
     mutating its result after the store nor a consumer mutating a hit
     can poison the cache.  Only pure-data artifacts may be cached
     (no closures, no custom blocks beyond the stdlib's); all flow
-    artifacts satisfy this.
+    artifacts satisfy this.  Nothing is persisted, so an entry is always
+    revived by the same code that stored it.
 
     Thread-safety: all operations are [Mutex]-guarded and safe to call
-    concurrently from the worker-pool domains.  The compute function
-    passed to {!memo} runs {e outside} the lock, so concurrent misses of
-    the same key may both compute (identical results, last store wins)
-    but never deadlock. *)
+    concurrently from the worker-pool domains.  Callers compute between
+    {!find} and {!put} {e outside} the lock, so concurrent misses of the
+    same key may both compute (identical results, last store wins) but
+    never deadlock. *)
 
 type t
 
@@ -20,20 +21,12 @@ val none : t
 (** The disabled cache: every lookup misses, every store is dropped, no
     statistics accumulate.  [--no-cache]. *)
 
-val create : ?dir:string -> unit -> t
-(** Fresh cache.  With [dir], entries are additionally persisted under
-    [dir/<schema>/<stage>/<hex>] and lookups fall back to disk on a
-    memory miss. *)
+val create : unit -> t
+(** Fresh, empty cache. *)
 
 val enabled : t -> bool
-val dir : t -> string option
-
-val default_dir : unit -> string
-(** [$XDG_CACHE_HOME/vpga], else [~/.cache/vpga]. *)
 
 (** {2 Lookup and insert} *)
-
-type origin = Memory | Disk | Computed
 
 val find : t -> Key.t -> 'a option
 (** Counts as a hit or miss.  The ['a] is trusted: callers must respect
@@ -42,12 +35,6 @@ val find : t -> Key.t -> 'a option
 val put : t -> Key.t -> 'a -> unit
 (** Serializes [v] immediately; raises [Invalid_argument] (from
     [Marshal]) if [v] contains functional values. *)
-
-val memo : t -> Key.t -> (unit -> 'a) -> 'a
-(** [memo t k compute] returns the cached value for [k], or runs
-    [compute], stores and returns its result. *)
-
-val memo' : t -> Key.t -> (unit -> 'a) -> 'a * origin
 
 (** {2 Statistics} *)
 
@@ -65,36 +52,3 @@ type stats = {
 
 val stats : t -> stats
 val hit_rate : stats -> float
-
-(** {2 Disk maintenance}
-
-    Standalone (no live cache needed): operate on a cache directory
-    across {e all} schema generations, so the CLI can inspect and bound
-    a store containing entries from older formats. *)
-
-type disk_stage = {
-  d_schema : string;
-  d_stage : string;
-  d_entries : int;
-  d_bytes : int;
-}
-
-val disk_stats : dir:string -> disk_stage list
-
-val disk_clear : dir:string -> int
-(** Removes every entry; returns the count removed. *)
-
-type gc_result = {
-  gc_kept : int;
-  gc_kept_bytes : int;
-  gc_removed : int;
-  gc_removed_bytes : int;
-}
-
-val disk_gc : dir:string -> max_bytes:int -> gc_result
-(** Evicts least-recently-used entries (hits touch their files) until
-    the store fits in [max_bytes]. *)
-
-val clear : t -> unit
-(** Drops the in-memory table and, if disk-backed, its on-disk entries.
-    Statistics are kept. *)

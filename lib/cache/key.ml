@@ -3,17 +3,12 @@ module Kind = Vpga_netlist.Kind
 module Arch = Vpga_plb.Arch
 module Cell = Vpga_cells.Cell
 
-(* Bump when the canonical encodings below change shape: the tag is fed
-   into every key and names the on-disk store's subdirectory, so stale
-   formats self-invalidate instead of deserializing garbage.  The OCaml
-   version rides along because entry payloads are [Marshal] format. *)
-let schema = "vpga-cache/1"
-
+(* Keys live only as long as the in-memory store, so they carry no
+   version tag: every key and every entry come from the same build. *)
 type t = { stage : string; hex : string }
 
 let make ~stage feed =
   let e = Enc.create () in
-  Enc.str e schema;
   Enc.str e stage;
   feed e;
   { stage; hex = Enc.digest_hex e }

@@ -8,18 +8,16 @@
     verify level, defect fingerprint.  The flow-level option record and
     its exhaustive digesting live in [Vpga_flow.Stagekey]; this module
     provides the generic machinery plus digests for the types every
-    stage shares. *)
+    stage shares.
+
+    Keys carry no version tag: the store ({!Cache}) lives in memory for
+    one process, so a key and the entry it finds always come from the
+    same build. *)
 
 type t
 
-val schema : string
-(** Version tag fed into every key and naming the on-disk store's
-    format directory.  Bump it whenever a canonical encoding or a cached
-    value's type changes shape: old entries then simply never match. *)
-
 val make : stage:string -> (Enc.t -> unit) -> t
-(** [make ~stage feed] digests [schema], [stage] and whatever [feed]
-    writes. *)
+(** [make ~stage feed] digests [stage] and whatever [feed] writes. *)
 
 val stage : t -> string
 val hex : t -> string

@@ -66,7 +66,6 @@ module Fail = Vpga_resil.Fail
 module Policy = Vpga_resil.Policy
 module Recovery = Vpga_resil.Log
 module Retry = Vpga_resil.Retry
-module Inject = Vpga_resil.Inject
 module Defect = Vpga_resil.Defect
 
 module Cache = Vpga_cache.Cache

@@ -131,34 +131,9 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
           trace name)
       (Log.timed log)
   in
-  (* [cmemo stage mk compute]: look the stage up under [mk ()]'s key; on
-     a hit, replay the recovery events its compute recorded (so warm
-     summaries match cold ones) and mark the timeline; on a miss, run
-     [compute] and store its value together with the event suffix it
-     appended to [log].  Failures propagate and are never cached. *)
-  let cmemo : 'a. string -> (unit -> Ckey.t) -> (unit -> 'a) -> 'a =
-   fun stage mk compute ->
-    if not keyed then compute ()
-    else
-      let k = mk () in
-      match Cache.find cache k with
-      | Some (v, events) ->
-          List.iter (Log.record log) events;
-          Trace.instant ~attrs:[ ("stage", Attr.Str stage) ] trace "cache:hit";
-          v
-      | None ->
-          let before = List.length (Log.events log) in
-          let v = compute () in
-          let suffix =
-            let rec drop n l =
-              if n <= 0 then l
-              else match l with [] -> [] | _ :: t -> drop (n - 1) t
-            in
-            drop before (Log.events log)
-          in
-          Cache.put cache k (v, suffix);
-          v
-  in
+  (* Every stage boundary goes through {!Stagekey.memo}: a hit replays
+     the recovery events its compute recorded, a miss stores them. *)
+  let memo mk compute = Stagekey.memo cache ~log ~trace mk compute in
   let vfast = verify <> Off in
   let vformal = verify = Formal in
   (* Verification gates abort with a *typed* failure: the stage name,
@@ -255,7 +230,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
      With verification off the gate is a no-op, so nothing is cached. *)
   let equiv_gate stage candidate d_candidate =
     if vfast then
-      cmemo stage
+      memo
         (fun () ->
           Stagekey.verify_gate ~stage ~source:(Lazy.force d_nl)
             ~candidate:(Lazy.force d_candidate) opts)
@@ -285,7 +260,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
   (* Front-end: map, compact, buffer. *)
   let mapped =
     span "map" (fun () ->
-        cmemo "map"
+        memo
           (fun () ->
             Stagekey.map ~nl:(Lazy.force d_nl) ~arch:(Lazy.force d_arch) opts)
           (fun () -> Techmap.map arch nl))
@@ -303,7 +278,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
            that trace for stage {e timings} (the bench sweep) opt out via
            [trace_labels:false]. *)
         let compacted =
-          cmemo "compact"
+          memo
             (fun () ->
               Stagekey.compact ~nl:(Lazy.force d_nl)
                 ~arch:(Lazy.force d_arch) opts)
@@ -326,7 +301,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
   let buffered, cell_area, config_histogram =
     span "buffer" (fun () ->
         let buffered =
-          cmemo "buffer"
+          memo
             (fun () ->
               Stagekey.buffer ~compacted:(Lazy.force d_compacted)
                 ~max_fanout:8 opts)
@@ -350,7 +325,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
     span "place:global" (fun () ->
         let pl = Placement.create ~utilization buffered in
         let px, py =
-          cmemo "place:global"
+          memo
             (fun () ->
               Stagekey.place_global ~buffered:(Lazy.force d_buffered) opts)
             (fun () ->
@@ -424,7 +399,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
       end
     in
     let ax, ay =
-      cmemo stage
+      memo
         (fun () ->
           Stagekey.place_anneal ~buffered:(Lazy.force d_buffered)
             ~pl:d_pl_global opts)
@@ -441,7 +416,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
   let d_pl = if keyed then Stagekey.placement_hex pl else "" in
   let activities =
     span "power:activities" (fun () ->
-        cmemo "power:activities"
+        memo
           (fun () ->
             Stagekey.activities ~buffered:(Lazy.force d_buffered) opts)
           (fun () -> Power.activities ~seed:(seed + 7) buffered))
@@ -519,7 +494,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
   (* Caches the whole escalation ladder — global routing, detailed
      routing, the embedded track gate — as one entry per placement. *)
   let cached_route tag pl_for d_pl_for =
-    cmemo ("route:" ^ tag)
+    memo
       (fun () ->
         Stagekey.route ~tag ~buffered:(Lazy.force d_buffered) ~pl:d_pl_for
           opts)
@@ -565,7 +540,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
   let q =
     span "pack:quadrisect" @@ fun () ->
     let stage = "pack:quadrisect" in
-    cmemo stage
+    memo
       (fun () ->
         Stagekey.quadrisect ~arch:(Lazy.force d_arch)
           ~buffered:(Lazy.force d_buffered) ~pl:d_pl opts)
@@ -648,7 +623,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
            snapped coordinates, so that triple is the cached value; a hit
            blits it over this run's packing. *)
         let tiles, rx, ry =
-          cmemo "pack:refine"
+          memo
             (fun () ->
               Stagekey.refine ~buffered:(Lazy.force d_buffered)
                 ~q:(Stagekey.quad_hex q) opts)

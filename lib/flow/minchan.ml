@@ -86,29 +86,9 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
   in
   let d_nl = lazy (Ckey.netlist_hex nl) in
   let d_arch = lazy (Ckey.arch_hex arch) in
-  let cmemo : 'a. string -> (unit -> Ckey.t) -> (unit -> 'a) -> 'a =
-   fun stage mk compute ->
-    if not keyed then compute ()
-    else
-      let k = mk () in
-      match Cache.find cache k with
-      | Some (v, events) ->
-          List.iter (Log.record log) events;
-          Trace.instant ~attrs:[ ("stage", Attr.Str stage) ] trace "cache:hit";
-          v
-      | None ->
-          let before = List.length (Log.events log) in
-          let v = compute () in
-          let suffix =
-            let rec drop n l =
-              if n <= 0 then l
-              else match l with [] -> [] | _ :: t -> drop (n - 1) t
-            in
-            drop before (Log.events log)
-          in
-          Cache.put cache k (v, suffix);
-          v
-  in
+  (* Every stage boundary goes through {!Stagekey.memo}: a hit replays
+     the recovery events its compute recorded, a miss stores them. *)
+  let memo mk compute = Stagekey.memo cache ~log ~trace mk compute in
   (* Shared front-end, run once per search: compact, buffer, place, then
      legalize under the policy's relaxation ladder (the same escalation
      the flow uses, so an unfittable probe fails as a typed
@@ -116,7 +96,7 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
   let q, pl_b, buffered =
     span "minchan:frontend" @@ fun () ->
     let compacted =
-      cmemo "compact"
+      memo
         (fun () ->
           Stagekey.compact ~nl:(Lazy.force d_nl) ~arch:(Lazy.force d_arch)
             opts)
@@ -124,7 +104,7 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
     in
     let d_compacted = lazy (Ckey.netlist_hex compacted) in
     let buffered =
-      cmemo "buffer"
+      memo
         (fun () ->
           Stagekey.buffer ~compacted:(Lazy.force d_compacted) ~max_fanout:8
             opts)
@@ -133,7 +113,7 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
     let d_buffered = lazy (Ckey.netlist_hex buffered) in
     let pl = Placement.create buffered in
     let px, py =
-      cmemo "place:global"
+      memo
         (fun () ->
           Stagekey.place_global ~buffered:(Lazy.force d_buffered) opts)
         (fun () ->
@@ -175,7 +155,7 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
                  ~events:(Log.strings log) ())
     in
     let q =
-      cmemo stage
+      memo
         (fun () ->
           Stagekey.stress_pack ~arch:(Lazy.force d_arch)
             ~buffered:(Lazy.force d_buffered) ~pl:d_pl opts)
@@ -213,7 +193,7 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
              and whether it routed (1.0) or not (0.0). *)
           Trace.emit_sample "minchan.probe_w" (float_of_int w);
           let r =
-            cmemo "minchan:probe"
+            memo
               (fun () ->
                 Stagekey.minchan_probe ~plb:d_plb ~w ~max_iterations opts)
               (fun () ->

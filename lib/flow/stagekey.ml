@@ -354,3 +354,27 @@ let minchan_probe ~plb ~w ~max_iterations o =
       E.int e w;
       E.int e max_iterations;
       opt_defect e d)
+
+(* --- the memo path ----------------------------------------------------- *)
+
+module Cache = Vpga_cache.Cache
+module Log = Vpga_resil.Log
+module Trace = Vpga_obs.Trace
+
+let memo cache ~log ~trace mk compute =
+  if not (Cache.enabled cache) then compute ()
+  else
+    let k = mk () in
+    match Cache.find cache k with
+    | Some (v, events) ->
+        List.iter (Log.record log) events;
+        Trace.instant
+          ~attrs:[ ("stage", Vpga_obs.Span.Str (Key.stage k)) ]
+          trace "cache:hit";
+        v
+    | None ->
+        let before = List.length (Log.events log) in
+        let v = compute () in
+        Cache.put cache k
+          (v, List.filteri (fun i _ -> i >= before) (Log.events log));
+        v

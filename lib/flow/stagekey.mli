@@ -16,7 +16,7 @@
     for the packing stages, [(tile_of_node, x, y)] for [pack:refine]
     and [(Pathfinder.result, Detail.t option)] for [minchan:probe].
     Every entry also carries the recovery-event suffix recorded during
-    its compute, replayed on hit. *)
+    its compute, replayed on hit by {!memo}. *)
 
 type options = {
   seed : int;
@@ -81,3 +81,21 @@ val stress_pack :
 
 val minchan_probe :
   plb:string -> w:int -> max_iterations:int -> options -> Vpga_cache.Key.t
+
+(** {2 The memo path} *)
+
+val memo :
+  Vpga_cache.Cache.t ->
+  log:Vpga_resil.Log.t ->
+  trace:Vpga_obs.Trace.t ->
+  (unit -> Vpga_cache.Key.t) ->
+  (unit -> 'a) ->
+  'a
+(** [memo cache ~log ~trace key compute] is the one memoized stage
+    boundary of {!Flow.run} and {!Minchan.search}.  With a disabled
+    cache it is [compute ()] and [key] is never built.  On a hit it
+    replays the recovery events the original compute recorded onto
+    [log] (so warm summaries match cold ones) and marks [trace] with a
+    [cache:hit] instant naming the key's stage.  On a miss it runs
+    [compute] and stores its value with the event suffix it appended to
+    [log].  Failures propagate and are never cached. *)

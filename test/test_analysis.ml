@@ -30,7 +30,6 @@ module Simplify = Vpga_analysis.Simplify
 module Ownership = Vpga_analysis.Ownership
 module Analysis = Vpga_analysis.Analysis
 module Pass = Vpga_analysis.Pass
-module Inject = Vpga_resil.Inject
 module Experiments = Vpga_flow.Experiments
 
 (* --- ternary lattice --- *)

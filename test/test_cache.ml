@@ -1,11 +1,11 @@
 (* Tests for the content-addressed stage cache: the canonical encoder's
    fixed byte layout and non-aliasing, structural digest stability and
-   sensitivity, memoization identity and statistics, put-time snapshot
-   isolation, the on-disk store (roundtrip, corruption fallback, LRU gc,
-   clear), the flow-level hit == recompute property over designs x
-   architectures x verify levels, a randomized equivalence spot-check of
-   a cached front-end artifact, and the stress sweep's compute-each-
-   front-end-once invariant. *)
+   sensitivity, memoization identity and statistics through the shared
+   [Stagekey.memo] path, put-time snapshot isolation, the flow-level
+   hit == recompute property over designs x architectures x verify
+   levels, recovery-event replay on a warm flow, a randomized
+   equivalence spot-check of a cached front-end artifact, and the stress
+   sweep's compute-each-front-end-once invariant. *)
 
 module Enc = Vpga_cache.Enc
 module Key = Vpga_cache.Key
@@ -19,6 +19,9 @@ module Equiv = Vpga_netlist.Equiv
 module Techmap = Vpga_mapper.Techmap
 module Arch = Vpga_plb.Arch
 module Policy = Vpga_resil.Policy
+module Log = Vpga_resil.Log
+module Trace = Vpga_obs.Trace
+module Span = Vpga_obs.Span
 open Vpga_designs
 
 let alu2 = lazy (Alu.build ~width:2 ())
@@ -31,9 +34,10 @@ let digest_of feeds =
 
 (* --- encoder ---------------------------------------------------------- *)
 
-(* The canonical byte layout, pinned: these digests must never change
-   without a Key.schema bump (old on-disk entries would otherwise be
-   revived against new keys). *)
+(* The canonical byte layout, pinned: a change here is a deliberate
+   change of the encoding, never a side effect.  Injectivity (see the
+   no-aliasing test) is what keys rely on; the pinned bytes make any
+   change to it visible in review. *)
 let test_enc_fixed_vectors () =
   Alcotest.(check string)
     "empty stream is MD5 of the empty string"
@@ -112,6 +116,10 @@ let test_key_digests_stable_and_sensitive () =
 
 (* --- memoization ------------------------------------------------------ *)
 
+(* The flow's memo path, outside any flow: no recovery events, no trace. *)
+let memo c k compute =
+  Stagekey.memo c ~log:(Log.create ()) ~trace:Trace.null (fun () -> k) compute
+
 let test_memo_hit_and_stats () =
   let c = Cache.create () in
   Alcotest.(check bool) "enabled" true (Cache.enabled c);
@@ -121,8 +129,8 @@ let test_memo_hit_and_stats () =
     incr computes;
     [| 1; 2; 3 |]
   in
-  let v1 = Cache.memo c k compute in
-  let v2 = Cache.memo c k compute in
+  let v1 = memo c k compute in
+  let v2 = memo c k compute in
   Alcotest.(check int) "computed once" 1 !computes;
   Alcotest.(check (array int)) "hit equals computed" v1 v2;
   Alcotest.(check bool) "hit is a fresh copy" true (v1 != v2);
@@ -131,19 +139,16 @@ let test_memo_hit_and_stats () =
   Alcotest.(check int) "misses" 1 s.Cache.misses;
   Alcotest.(check int) "stores" 1 s.Cache.stores;
   Alcotest.(check int) "mem entries" 1 s.Cache.mem_entries;
-  (match s.Cache.stages with
+  match s.Cache.stages with
   | [ ("s", (1, 1, 1)) ] -> ()
-  | _ -> Alcotest.fail "per-stage stats");
-  Cache.clear c;
-  ignore (Cache.memo c k compute);
-  Alcotest.(check int) "clear drops the entry" 2 !computes
+  | _ -> Alcotest.fail "per-stage stats"
 
 let test_disabled_cache () =
   let k = Key.make ~stage:"s" (fun b -> Enc.int b 1) in
   let computes = ref 0 in
   let compute () = incr computes; !computes in
-  Alcotest.(check int) "first" 1 (Cache.memo Cache.none k compute);
-  Alcotest.(check int) "second recomputes" 2 (Cache.memo Cache.none k compute);
+  Alcotest.(check int) "first" 1 (memo Cache.none k compute);
+  Alcotest.(check int) "second recomputes" 2 (memo Cache.none k compute);
   Alcotest.(check bool) "disabled" false (Cache.enabled Cache.none);
   let s = Cache.stats Cache.none in
   Alcotest.(check int) "no stats" 0 (s.Cache.hits + s.Cache.misses)
@@ -167,131 +172,6 @@ let test_put_snapshot_isolation () =
   | Some a -> Alcotest.(check (array int)) "consumer mutation" [| 10; 20 |] a
   | None -> Alcotest.fail "expected a hit"
 
-(* --- the on-disk store ------------------------------------------------ *)
-
-let temp_dir () =
-  let f = Filename.temp_file "vpga-cache-test" "" in
-  Sys.remove f;
-  f
-
-let rec rm_tree d =
-  if Sys.file_exists d && Sys.is_directory d then begin
-    Array.iter (fun f -> rm_tree (Filename.concat d f)) (Sys.readdir d);
-    try Sys.rmdir d with Sys_error _ -> ()
-  end
-  else if Sys.file_exists d then Sys.remove d
-
-let with_dir f =
-  let dir = temp_dir () in
-  Fun.protect ~finally:(fun () -> rm_tree dir) (fun () -> f dir)
-
-(* All regular files under [dir], depth-first. *)
-let rec files_under d =
-  if not (Sys.file_exists d) then []
-  else if Sys.is_directory d then
-    Array.to_list (Sys.readdir d)
-    |> List.concat_map (fun f -> files_under (Filename.concat d f))
-  else [ d ]
-
-let test_disk_roundtrip () =
-  with_dir @@ fun dir ->
-  let k = Key.make ~stage:"s" (fun b -> Enc.str b "disk") in
-  let c1 = Cache.create ~dir () in
-  Cache.put c1 k (42, "payload");
-  (* a fresh cache has an empty memory table: the hit must come from disk *)
-  let c2 = Cache.create ~dir () in
-  (match Cache.find c2 k with
-  | Some (n, s) ->
-      Alcotest.(check int) "int" 42 n;
-      Alcotest.(check string) "string" "payload" s
-  | None -> Alcotest.fail "expected a disk hit");
-  let s = Cache.stats c2 in
-  Alcotest.(check int) "counted as a hit" 1 s.Cache.hits;
-  match Cache.disk_stats ~dir with
-  | [ d ] ->
-      Alcotest.(check string) "stage dir" "s" d.Cache.d_stage;
-      Alcotest.(check int) "one entry" 1 d.Cache.d_entries
-  | _ -> Alcotest.fail "expected one stage"
-
-let test_disk_corruption_falls_back () =
-  let corrupt mangle =
-    with_dir @@ fun dir ->
-    let k = Key.make ~stage:"s" (fun b -> Enc.str b "corrupt") in
-    let c1 = Cache.create ~dir () in
-    Cache.put c1 k [| 1.0; 2.0 |];
-    let path =
-      match files_under dir with [ p ] -> p | _ -> Alcotest.fail "one file"
-    in
-    mangle path;
-    let c2 = Cache.create ~dir () in
-    (match Cache.find c2 k with
-    | None -> ()
-    | Some (_ : float array) -> Alcotest.fail "corrupted entry revived");
-    (* the bad entry is gone; a recompute stores cleanly over it *)
-    Alcotest.(check (list string)) "bad entry unlinked" [] (files_under dir);
-    let v = Cache.memo c2 k (fun () -> [| 3.0 |]) in
-    Alcotest.(check (float 0.0)) "recomputed" 3.0 v.(0);
-    match Cache.find (Cache.create ~dir ()) k with
-    | Some (a : float array) ->
-        Alcotest.(check (float 0.0)) "restored" 3.0 a.(0)
-    | None -> Alcotest.fail "expected a hit after recompute"
-  in
-  corrupt (fun path ->
-      (* truncate mid-payload *)
-      let oc = open_out_gen [ Open_wronly; Open_trunc ] 0o644 path in
-      output_string oc "VPGACACHE1\n";
-      close_out oc);
-  corrupt (fun path ->
-      (* flip one payload byte, keeping the length intact *)
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let bytes = really_input_string ic n in
-      close_in ic;
-      let b = Bytes.of_string bytes in
-      let last = Bytes.length b - 1 in
-      Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 1));
-      let oc = open_out_bin path in
-      output_bytes oc b;
-      close_out oc)
-
-let test_disk_gc_lru () =
-  with_dir @@ fun dir ->
-  let c = Cache.create ~dir () in
-  let key i = Key.make ~stage:"s" (fun b -> Enc.int b i) in
-  let payload = String.make 100 'x' in
-  List.iter (fun i -> Cache.put c (key i) (i, payload)) [ 1; 2; 3 ];
-  let paths = files_under dir in
-  Alcotest.(check int) "three entries" 3 (List.length paths);
-  let entry_bytes = (Unix.stat (List.hd paths)).Unix.st_size in
-  (* pin distinct access times: entry of key 2 is most recent *)
-  let set_atime k t =
-    let b = Enc.create () in
-    Enc.str b Key.schema;
-    Enc.str b "s";
-    Enc.int b k;
-    let hex = Enc.digest_hex b in
-    match List.find_opt (fun p -> Filename.basename p = hex) paths with
-    | Some p -> Unix.utimes p t t
-    | None -> Alcotest.fail "entry path not found"
-  in
-  set_atime 1 1000.0;
-  set_atime 2 3000.0;
-  set_atime 3 2000.0;
-  let r = Cache.disk_gc ~dir ~max_bytes:(2 * entry_bytes) in
-  Alcotest.(check int) "kept" 2 r.Cache.gc_kept;
-  Alcotest.(check int) "removed" 1 r.Cache.gc_removed;
-  Alcotest.(check int) "kept bytes" (2 * entry_bytes) r.Cache.gc_kept_bytes;
-  let c2 = Cache.create ~dir () in
-  (match Cache.find c2 (key 1) with
-  | Some (_ : int * string) -> Alcotest.fail "LRU entry survived gc"
-  | None -> ());
-  (match Cache.find c2 (key 2) with
-  | Some ((n, _) : int * string) -> Alcotest.(check int) "MRU kept" 2 n
-  | None -> Alcotest.fail "MRU entry evicted");
-  let n = Cache.disk_clear ~dir in
-  Alcotest.(check int) "clear counts survivors" 2 n;
-  Alcotest.(check (list string)) "store empty" [] (files_under dir)
-
 (* --- flow integration ------------------------------------------------- *)
 
 (* The tentpole's correctness contract: for any (design, arch, verify)
@@ -313,6 +193,45 @@ let prop_cache_hit_equals_recompute =
       s.Cache.hits > 0
       && compare cold warm = 0
       && compare cold uncached = 0)
+
+(* Recovery replay: with the router started at channel capacity 1 the
+   cold run retries and escalates its routing stages; the warm run hits
+   those stages instead, so its recovery log comes only from the events
+   each entry stored.  Both logs must read the same. *)
+let test_warm_replays_recovery () =
+  let nl = Lazy.force alu2 in
+  let policy =
+    { Policy.default with Policy.route_capacity = Some 1; max_attempts = 6 }
+  in
+  let cache = Cache.create () in
+  let run () =
+    let log = Log.create () and trace = Trace.create () in
+    let pair =
+      Flow.run ~seed:3 ~anneal_iterations:1_000 ~policy ~log ~trace ~cache
+        Arch.granular_plb nl
+    in
+    (pair, log, trace)
+  in
+  let hits trace =
+    List.length
+      (List.filter
+         (function Span.Instant { name = "cache:hit"; _ } -> true | _ -> false)
+         (Trace.events trace))
+  in
+  let cold, cold_log, cold_trace = run () in
+  let warm, warm_log, warm_trace = run () in
+  let cs = Log.summary cold_log and ws = Log.summary warm_log in
+  Alcotest.(check bool) "cold run retried" true (cs.Log.retries > 0);
+  Alcotest.(check (triple int int int))
+    "summary"
+    (cs.Log.retries, cs.Log.escalations, cs.Log.degraded)
+    (ws.Log.retries, ws.Log.escalations, ws.Log.degraded);
+  Alcotest.(check (list string))
+    "events" (Log.strings cold_log) (Log.strings warm_log);
+  Alcotest.(check bool) "outcomes identical" true (compare cold warm = 0);
+  Alcotest.(check bool)
+    "warm trace marks hits" true
+    (hits warm_trace > hits cold_trace)
 
 (* A cached front-end artifact is a real netlist, not just equal bytes:
    pull the [map] entry a warm flow hit on and drive it against the
@@ -394,16 +313,11 @@ let () =
           Alcotest.test_case "put-time snapshot" `Quick
             test_put_snapshot_isolation;
         ] );
-      ( "disk",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_disk_roundtrip;
-          Alcotest.test_case "corruption falls back" `Quick
-            test_disk_corruption_falls_back;
-          Alcotest.test_case "gc is LRU" `Quick test_disk_gc_lru;
-        ] );
       ( "flow",
         [
           QCheck_alcotest.to_alcotest prop_cache_hit_equals_recompute;
+          Alcotest.test_case "warm run replays recovery" `Quick
+            test_warm_replays_recovery;
           Alcotest.test_case "cached map equivalent (CEC spot-check)" `Quick
             test_cached_map_is_equivalent;
           Alcotest.test_case "stress front-end once" `Slow

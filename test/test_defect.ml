@@ -20,7 +20,6 @@ module Detail = Vpga_route.Detail
 module Diag = Vpga_verify.Diag
 module Phys = Vpga_verify.Phys
 module Defect = Vpga_resil.Defect
-module Inject = Vpga_resil.Inject
 module Flow = Vpga_flow.Flow
 module Minchan = Vpga_flow.Minchan
 module Experiments = Vpga_flow.Experiments

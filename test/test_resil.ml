@@ -22,7 +22,6 @@ module Fail = Vpga_resil.Fail
 module Policy = Vpga_resil.Policy
 module Log = Vpga_resil.Log
 module Retry = Vpga_resil.Retry
-module Inject = Vpga_resil.Inject
 module Flow = Vpga_flow.Flow
 module Experiments = Vpga_flow.Experiments
 open Vpga_designs
