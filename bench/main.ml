@@ -295,6 +295,17 @@ let bench_tests =
     Test.make ~name:"e5_compact_alu8"
       (Staged.stage (fun () ->
            ignore (Compact.run Arch.granular_plb (Lazy.force alu8))));
+    (* The compiled simulator's two production users: the flow's Fast
+       equivalence gate (one 63-lane word of 6-cycle sequences) on the
+       compaction step, and the lane-0 switching activities *)
+    Test.make ~name:"e5_equiv_gate_alu8"
+      (Staged.stage (fun () ->
+           ignore
+             (Equiv.check ~vectors:24 ~sequence_length:6 ~seed:2024
+                (Lazy.force alu8) (Lazy.force fixture_compacted))));
+    Test.make ~name:"e7_activities_alu8"
+      (Staged.stage (fun () ->
+           ignore (Power.activities ~seed:8 (Lazy.force fixture_compacted))));
     (* E6 kernels: the physical pipeline stages behind Table 1 *)
     Test.make ~name:"e6_global_place"
       (Staged.stage (fun () ->

@@ -100,19 +100,6 @@ let fanins t id =
   if t.fanin0.(id) < 0 then invalid_arg "Aig.fanins: not an AND node";
   (t.fanin0.(id), t.fanin1.(id))
 
-let eval t pi_values l =
-  let values = Array.make t.n false in
-  for id = 1 to t.n - 1 do
-    if is_pi t id then values.(id) <- pi_values.(t.pi_idx.(id))
-    else begin
-      let f0 = t.fanin0.(id) and f1 = t.fanin1.(id) in
-      let v0 = values.(node_of f0) <> is_complement f0 in
-      let v1 = values.(node_of f1) <> is_complement f1 in
-      values.(id) <- v0 && v1
-    end
-  done;
-  values.(node_of l) <> is_complement l
-
 type root = Po of int | Flop_d of int
 
 type bound = {
@@ -123,46 +110,37 @@ type bound = {
   node_lits : int array;
 }
 
+(* Replay [nl]'s combinational gates (in id order: topological for comb
+   edges) onto [t]; [in_lits] drive its PIs, then its flop Qs.  The
+   literal per node, [-1] for [Output]s. *)
+let add_netlist t nl in_lits =
+  let lit_of = Array.make (Netlist.size nl) (-1) in
+  List.iteri (fun k i -> lit_of.(i) <- in_lits.(k))
+    (Netlist.inputs nl @ Netlist.flops nl);
+  Array.iteri
+    (fun i (node : Netlist.node) ->
+      match node.kind with
+      | Kind.Input | Kind.Dff | Kind.Output -> ()
+      | Kind.Const b -> lit_of.(i) <- (if b then const1 else const0)
+      | k ->
+          let args = Array.map (fun f -> lit_of.(f)) node.fanins in
+          if Array.exists (fun l -> l < 0) args then
+            invalid_arg "Aig.add_netlist: fanin not yet converted";
+          lit_of.(i) <- add_fn t (Kind.fn k) args)
+    (Netlist.nodes nl);
+  lit_of
+
 let of_netlist nl =
   let t = create () in
-  let n = Netlist.size nl in
-  let lit_of = Array.make n (-1) in
-  let pi_srcs = ref [] in
-  (* PIs, then flop Qs, become AIG PIs. *)
-  List.iter
-    (fun i ->
-      lit_of.(i) <- add_pi t;
-      pi_srcs := i :: !pi_srcs)
-    (Netlist.inputs nl);
-  List.iter
-    (fun i ->
-      lit_of.(i) <- add_pi t;
-      pi_srcs := i :: !pi_srcs)
-    (Netlist.flops nl);
-  (* Combinational gates in id order (topological for comb edges). *)
-  for i = 0 to n - 1 do
-    let node = Netlist.node nl i in
-    match node.Netlist.kind with
-    | Kind.Input | Kind.Dff | Kind.Output -> ()
-    | Kind.Const b -> lit_of.(i) <- (if b then const1 else const0)
-    | k ->
-        let args = Array.map (fun f -> lit_of.(f)) node.Netlist.fanins in
-        if Array.exists (fun l -> l < 0) args then
-          invalid_arg "Aig.of_netlist: fanin not yet converted";
-        lit_of.(i) <- add_fn t (Kind.fn k) args
-  done;
-  let roots =
-    List.map
-      (fun o -> (Po o, lit_of.((Netlist.node nl o).Netlist.fanins.(0))))
-      (Netlist.outputs nl)
-    @ List.map
-        (fun f -> (Flop_d f, lit_of.((Netlist.node nl f).Netlist.fanins.(0))))
-        (Netlist.flops nl)
-  in
+  let sources = Netlist.inputs nl @ Netlist.flops nl in
+  let lit_of = add_netlist t nl (Array.of_list (List.map (fun _ -> add_pi t) sources)) in
+  let d i = lit_of.((Netlist.node nl i).Netlist.fanins.(0)) in
   {
     aig = t;
     source = nl;
-    pi_sources = Array.of_list (List.rev !pi_srcs);
-    roots;
+    pi_sources = Array.of_list sources;
+    roots =
+      List.map (fun o -> (Po o, d o)) (Netlist.outputs nl)
+      @ List.map (fun f -> (Flop_d f, d f)) (Netlist.flops nl);
     node_lits = lit_of;
   }

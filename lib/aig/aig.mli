@@ -46,9 +46,6 @@ val fanins : t -> int -> lit * lit
 val pi_index : t -> int -> int
 (** Index (0-based, creation order) of a PI node. *)
 
-val eval : t -> bool array -> lit -> bool
-(** Evaluate a literal under an assignment to the PIs. *)
-
 (** Binding between a sequential netlist and its combinational AIG: flop Q
     pins become pseudo-PIs, flop D pins pseudo-POs. *)
 type root = Po of int (** output node id *) | Flop_d of int (** flop node id *)
@@ -64,6 +61,11 @@ type bound = {
           strash to the same function.  [-1] for [Output] nodes (they
           carry no logic; see [roots]). *)
 }
+
+val add_netlist : t -> Netlist.t -> lit array -> lit array
+(** [add_netlist t nl in_lits] adds [nl]'s combinational logic to [t], with
+    [in_lits] driving its primary inputs and then its flop Q pins; returns
+    the literal of every node ([-1] for [Output] nodes). *)
 
 val of_netlist : Netlist.t -> bound
 (** Build the AIG of the combinational portion; strash and constant folding

@@ -26,41 +26,28 @@ let to_string = function
   | Def -> "def"
   | Und -> "X"
 
-(* Enumerate every two-valued completion of the unknown arguments.  The
-   recursion depth is the argument count (<= 5), so at most 32 calls of
-   [Kind.eval]; [args] is scribbled on and restored by the caller's
-   copy. *)
+(* Index the kind's truth table with every two-valued completion of the
+   unknown arguments (at most 32, as arity <= 5): a constant iff all
+   completions agree. *)
 let eval kind (vs : v array) =
   if Array.exists (fun x -> x = Bot) vs then Bot
   else begin
-    let n = Array.length vs in
-    let args = Array.make n false in
-    let unknown = ref [] in
-    for i = n - 1 downto 0 do
-      match vs.(i) with
-      | C0 -> args.(i) <- false
-      | C1 -> args.(i) <- true
-      | _ -> unknown := i :: !unknown
-    done;
-    let rec sweep seen = function
-      | [] ->
-          let b = Kind.eval kind args in
-          (match seen with
-          | None -> Some (Some b)
-          | Some (Some b') when b' = b -> seen
-          | Some _ -> Some None (* completions disagree: not a constant *))
-      | i :: rest -> (
-          args.(i) <- false;
-          match sweep seen rest with
-          | Some None -> Some None
-          | seen ->
-              args.(i) <- true;
-              sweep seen rest)
+    let f = Kind.fn kind in
+    let known = ref 0 and unknown = ref [] in
+    Array.iteri
+      (fun i x ->
+        match x with
+        | C1 -> known := !known lor (1 lsl i)
+        | C0 -> ()
+        | _ -> unknown := i :: !unknown)
+      vs;
+    let rec completions m = function
+      | [] -> [ Vpga_logic.Bfun.eval f m ]
+      | i :: rest -> completions m rest @ completions (m lor (1 lsl i)) rest
     in
-    match sweep None !unknown with
-    | Some (Some b) -> of_bool b (* every completion agrees: masked *)
-    | _ ->
-        if List.exists (fun i -> vs.(i) = Und) !unknown then Und else Def
+    match List.sort_uniq Bool.compare (completions !known !unknown) with
+    | [ b ] -> of_bool b (* every completion agrees: masked *)
+    | _ -> if List.exists (fun i -> vs.(i) = Und) !unknown then Und else Def
   end
 
 let in_range nl f = f >= 0 && f < Netlist.size nl

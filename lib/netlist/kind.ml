@@ -61,24 +61,6 @@ let fn k =
   | Maj3 -> (v3 0 &&& v3 1) ||| (v3 1 &&& v3 2) ||| (v3 0 &&& v3 2)
   | Mapped { fn; _ } -> fn
 
-let eval k args =
-  match k with
-  | Input -> invalid_arg "Kind.eval: Input"
-  | Dff -> invalid_arg "Kind.eval: Dff"
-  | Output | Buf ->
-      if Array.length args <> 1 then invalid_arg "Kind.eval: arity";
-      args.(0)
-  | Const b ->
-      if Array.length args <> 0 then invalid_arg "Kind.eval: arity";
-      b
-  | Inv | And2 | Or2 | Nand2 | Nor2 | Xor2 | Xnor2 | Mux2 | And3 | Or3 | Nand3
-  | Nor3 | Xor3 | Maj3 | Mapped _ ->
-      let f = fn k in
-      if Array.length args <> Bfun.arity f then invalid_arg "Kind.eval: arity";
-      let m = ref 0 in
-      Array.iteri (fun i b -> if b then m := !m lor (1 lsl i)) args;
-      Bfun.eval f !m
-
 let name = function
   | Input -> "input"
   | Output -> "output"

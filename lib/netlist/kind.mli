@@ -35,12 +35,8 @@ val arity : t -> int
 
 val is_sequential : t -> bool
 
-val eval : t -> bool array -> bool
-(** Combinational semantics. @raise Invalid_argument on [Input], [Dff] or a
-    wrong-sized argument vector. *)
-
 val fn : t -> Vpga_logic.Bfun.t
-(** Truth table of a combinational kind over its fanins.
+(** Combinational semantics: the truth table of a kind over its fanins.
     @raise Invalid_argument on [Input], [Output], [Dff]. *)
 
 val name : t -> string

@@ -8,7 +8,9 @@
 
 val activities : ?cycles:int -> seed:int -> Vpga_netlist.Netlist.t -> float array
 (** Per-node toggle rate (transitions per clock cycle) measured by driving
-    [cycles] (default 256) uniform-random input vectors from reset. *)
+    [cycles] (default 256) uniform-random input vectors from reset: one
+    [Random.State.bool] per primary input per cycle, in input order, on
+    lane 0 of {!Vpga_netlist.Simulate}. *)
 
 type report = {
   dynamic_uw : float;  (** switched-capacitance power, uW *)

@@ -24,7 +24,6 @@
    over the swept AIG and decided without a budget. *)
 
 module Netlist = Vpga_netlist.Netlist
-module Kind = Vpga_netlist.Kind
 module Aig = Vpga_aig.Aig
 
 type counterexample = {
@@ -44,30 +43,13 @@ type bounded_verdict =
    by its flop Q pins.  Returns the output literals: POs first, then flop D
    pins (matching [Aig.of_netlist]'s root convention). *)
 let replay aig nl in_lits =
-  let n = Netlist.size nl in
-  let lit_of = Array.make n (-1) in
-  List.iteri (fun k i -> lit_of.(i) <- in_lits.(k)) (Netlist.inputs nl);
-  let npi = List.length (Netlist.inputs nl) in
-  List.iteri (fun k i -> lit_of.(i) <- in_lits.(npi + k)) (Netlist.flops nl);
-  for i = 0 to n - 1 do
-    let node = Netlist.node nl i in
-    match node.Netlist.kind with
-    | Kind.Input | Kind.Dff | Kind.Output -> ()
-    | Kind.Const b -> lit_of.(i) <- (if b then Aig.const1 else Aig.const0)
-    | k ->
-        let args = Array.map (fun f -> lit_of.(f)) node.Netlist.fanins in
-        if Array.exists (fun l -> l < 0) args then
-          invalid_arg "Cec.replay: fanin not yet converted";
-        lit_of.(i) <- Aig.add_fn aig (Kind.fn k) args
-  done;
-  List.map (fun o -> lit_of.((Netlist.node nl o).Netlist.fanins.(0)))
-    (Netlist.outputs nl)
-  @ List.map
-      (fun f ->
-        let d = (Netlist.node nl f).Netlist.fanins.(0) in
-        if d < 0 then invalid_arg "Cec.replay: unconnected flop";
-        lit_of.(d))
-      (Netlist.flops nl)
+  let lit_of = Aig.add_netlist aig nl in_lits in
+  List.map
+    (fun i ->
+      let d = (Netlist.node nl i).Netlist.fanins.(0) in
+      if d < 0 then invalid_arg "Cec.replay: unconnected flop";
+      lit_of.(d))
+    (Netlist.outputs nl @ Netlist.flops nl)
 
 let same_interface a b =
   List.length (Netlist.inputs a) = List.length (Netlist.inputs b)
@@ -95,12 +77,17 @@ let decide budget a b =
       Aig.const0 roots_a roots_b
   in
   let counterexample inputs =
-    (* Locate the first differing root under [inputs]. *)
+    (* Locate the first differing root under [inputs], simulated as one
+       word with the pattern in bit 0. *)
+    let sg =
+      Sweep.simulate aig ~words:1 (fun id _ ->
+          Bool.to_int inputs.(Aig.pi_index aig id))
+    in
+    let bit l = (sg.(Aig.node_of l) lxor l) land 1 in
     let rec find k ra rb =
       match (ra, rb) with
       | la :: ra', lb :: rb' ->
-          if Aig.eval aig inputs la <> Aig.eval aig inputs lb then k
-          else find (k + 1) ra' rb'
+          if bit la <> bit lb then k else find (k + 1) ra' rb'
       | _ -> invalid_arg "Cec.check: SAT model does not distinguish outputs"
     in
     let k = find 0 roots_a roots_b in

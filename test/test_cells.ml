@@ -113,6 +113,43 @@ let test_activities () =
   let b = Power.activities ~cycles:128 ~seed:3 nl in
   Alcotest.(check bool) "deterministic" true (a = b)
 
+(* Activity digests of the flow's buffered netlists (seed 1, so the flow's
+   [seed + 7] = 8), all four Test-scale designs on both PLBs.  They pin the
+   exact random stream: one [Random.State.bool] per primary input per cycle,
+   in input order, simulated on lane 0. *)
+let activity_goldens =
+  [
+    ("ALU", "lut", "a52df13e68b67c7950eb8590b0c848cc");
+    ("ALU", "granular", "727d7e40d232dfd9e5e6c3382af631e1");
+    ("Firewire", "lut", "f249532999145b4aed68f71e3526d7ae");
+    ("Firewire", "granular", "39f0260990294d5de0a5f57e47e3a24a");
+    ("FPU", "lut", "bd958855a36afc82f79bb5bf729027bb");
+    ("FPU", "granular", "6830e08dfa0c0fdac6bfb3ba9596fe63");
+    ("Network switch", "lut", "fb2dbc5da6ffbfa93d1ae9087cadc3d4");
+    ("Network switch", "granular", "fb2dbc5da6ffbfa93d1ae9087cadc3d4");
+  ]
+
+let test_activities_golden () =
+  let module Experiments = Vpga_flow.Experiments in
+  let archs =
+    [ ("lut", Vpga_plb.Arch.lut_plb); ("granular", Vpga_plb.Arch.granular_plb) ]
+  in
+  List.iter
+    (fun (design, arch, expect) ->
+      let nl = List.assoc design (Experiments.designs Experiments.Test) in
+      let buffered =
+        Vpga_place.Buffering.insert ~max_fanout:8
+          (Vpga_mapper.Compact.run (List.assoc arch archs) nl)
+      in
+      let a = Power.activities ~seed:8 buffered in
+      let digest =
+        Digest.to_hex
+          (Digest.string
+             (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a))))
+      in
+      Alcotest.(check string) (design ^ "/" ^ arch) expect digest)
+    activity_goldens
+
 let test_power_estimate () =
   let nl = mapped_design () in
   let activities = Power.activities ~cycles:128 ~seed:3 nl in
@@ -174,6 +211,7 @@ let () =
       ( "power",
         [
           Alcotest.test_case "activities" `Quick test_activities;
+          Alcotest.test_case "activities golden" `Quick test_activities_golden;
           Alcotest.test_case "estimate" `Quick test_power_estimate;
           Alcotest.test_case "lut costs more" `Quick test_power_lut_costs_more;
           Alcotest.test_case "pin caps" `Quick test_sta_pin_cap;

@@ -203,6 +203,144 @@ let prop_identity_map_equiv =
       in
       Equiv.check_exhaustive nl nl' = Equiv.Equivalent)
 
+(* --- Word engine against a scalar oracle --------------------------------- *)
+
+(* Scalar evaluation of one node: the kind's truth table at the minterm
+   its fanin values spell; an [Output] is a buffer. *)
+let kind_eval k args =
+  match k with
+  | Kind.Output -> args.(0)
+  | k ->
+      let m = ref 0 in
+      Array.iteri (fun i b -> if b then m := !m lor (1 lsl i)) args;
+      Bfun.eval (Kind.fn k) !m
+
+(* Test-only reference semantics: [kind_eval] over the levelized order, one
+   lane and one cycle at a time.  Returns every node's value per cycle. *)
+let oracle nl cycles =
+  let order = (Levelize.run nl).Levelize.order in
+  let state = Array.make (Netlist.size nl) false in
+  Array.map
+    (fun pi ->
+      let values = Array.make (Netlist.size nl) false in
+      List.iteri (fun k i -> values.(i) <- pi.(k)) (Netlist.inputs nl);
+      Array.iter
+        (fun i ->
+          let node = Netlist.node nl i in
+          match node.Netlist.kind with
+          | Kind.Input -> ()
+          | Kind.Dff -> values.(i) <- state.(i)
+          | k ->
+              values.(i) <-
+                kind_eval k (Array.map (fun f -> values.(f)) node.Netlist.fanins))
+        order;
+      List.iter
+        (fun q -> state.(q) <- values.((Netlist.node nl q).Netlist.fanins.(0)))
+        (Netlist.flops nl);
+      values)
+    cycles
+
+(* Random sequential netlist: constants, every generic gate, mapped cells of
+   arity 1-5 with random tables, and flops whose D closes feedback loops. *)
+let random_seq_netlist rng =
+  let nl = Netlist.create ~name:"rand_seq" () in
+  let npi = 1 + Random.State.int rng 4 in
+  let pool =
+    ref
+      (List.init npi (fun i -> Netlist.input nl (Printf.sprintf "i%d" i))
+      @ List.init (Random.State.int rng 4) (fun _ -> Netlist.dff nl))
+  in
+  let pick () = List.nth !pool (Random.State.int rng (List.length !pool)) in
+  let generic =
+    [| Kind.Buf; Kind.Inv; Kind.And2; Kind.Or2; Kind.Nand2; Kind.Nor2;
+       Kind.Xor2; Kind.Xnor2; Kind.Mux2; Kind.And3; Kind.Or3; Kind.Nand3;
+       Kind.Nor3; Kind.Xor3; Kind.Maj3 |]
+  in
+  for _ = 1 to 10 + Random.State.int rng 30 do
+    let k =
+      match Random.State.int rng 8 with
+      | 0 -> Kind.Const (Random.State.bool rng)
+      | 1 | 2 | 3 ->
+          let arity = 1 + Random.State.int rng 5 in
+          Kind.Mapped
+            {
+              cell = Printf.sprintf "lut%d" arity;
+              fn = Bfun.make ~arity (Random.State.bits rng lor (Random.State.bits rng lsl 30));
+            }
+      | _ -> generic.(Random.State.int rng (Array.length generic))
+    in
+    let g = Netlist.gate nl k (Array.init (Kind.arity k) (fun _ -> pick ())) in
+    pool := g :: !pool
+  done;
+  List.iter (fun q -> Netlist.connect nl ~flop:q ~d:(pick ())) (Netlist.flops nl);
+  for o = 0 to Random.State.int rng 3 do
+    ignore (Netlist.output nl (Printf.sprintf "o%d" o) (pick ()))
+  done;
+  nl
+
+let prop_words_match_oracle =
+  QCheck.Test.make ~name:"word engine matches the scalar oracle on every lane"
+    ~count:100 QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let nl = random_seq_netlist rng in
+      let npi = List.length (Netlist.inputs nl) in
+      let word () =
+        Random.State.bits rng
+        lor (Random.State.bits rng lsl 30)
+        lor (Random.State.bits rng lsl 60)
+      in
+      let cycles = Array.init 5 (fun _ -> Array.init npi (fun _ -> word ())) in
+      let sim = Simulate.create nl in
+      let words =
+        Array.map
+          (fun pi ->
+            Simulate.step_words sim pi;
+            Array.init (Netlist.size nl) (Simulate.word sim))
+          cycles
+      in
+      let lane0 = Simulate.create nl in
+      List.for_all
+        (fun l ->
+          let bit w = (w lsr l) land 1 = 1 in
+          let expect = oracle nl (Array.map (Array.map bit) cycles) in
+          Array.for_all2
+            (fun ws vs -> Array.for_all2 (fun w v -> bit w = v) ws vs)
+            words expect
+          && (l <> 0
+             || Array.for_all2
+                  (fun pi vs ->
+                    ignore (Simulate.step lane0 (Array.map bit pi));
+                    vs = Array.init (Array.length vs) (Simulate.value lane0))
+                  cycles expect))
+        (List.init Simulate.lanes Fun.id))
+
+(* A counterexample is only useful if it replays: the scalar lane-0 engine
+   driven with [vectors] must show the difference at [cycle] on [output]. *)
+let check_replays ~what good bad = function
+  | Equiv.Equivalent -> Alcotest.failf "%s: mutation not caught" what
+  | Equiv.Mismatch { cycle; output; vectors } ->
+      Alcotest.(check int) (what ^ ": one vector per cycle") (cycle + 1)
+        (List.length vectors);
+      let pos = Simulate.run good vectors and pob = Simulate.run bad vectors in
+      Alcotest.(check bool) (what ^ ": outputs differ at the cycle") true
+        ((List.nth pos cycle).(output) <> (List.nth pob cycle).(output))
+
+let test_mismatch_replays () =
+  let good = full_adder () in
+  let bad = Netlist.create ~name:"fa_bad" () in
+  let a = Netlist.input bad "a" in
+  let b = Netlist.input bad "b" in
+  let cin = Netlist.input bad "cin" in
+  ignore (Netlist.output bad "sum" (Netlist.gate bad Kind.Xor3 [| a; b; cin |]));
+  ignore (Netlist.output bad "cout" (Netlist.gate bad Kind.And3 [| a; b; cin |]));
+  check_replays ~what:"random" good bad (Equiv.check ~seed:7 good bad);
+  check_replays ~what:"exhaustive" good bad (Equiv.check_exhaustive good bad);
+  let alu = List.assoc "ALU" (Vpga_flow.Experiments.designs Vpga_flow.Experiments.Test) in
+  let mapped = Vpga_mapper.Techmap.map Vpga_plb.Arch.granular_plb alu in
+  let fault = Inject.netlist_flip ~seed:3 mapped in
+  check_replays ~what:fault.Inject.what alu mapped
+    (Equiv.check ~vectors:24 ~sequence_length:6 ~seed:2024 alu mapped)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let () =
@@ -227,8 +365,13 @@ let () =
           Alcotest.test_case "identity map" `Quick test_map_combinational;
           Alcotest.test_case "detects mutation" `Quick test_equiv_detects_mutation;
           Alcotest.test_case "interface mismatch" `Quick test_equiv_interface_mismatch;
+          Alcotest.test_case "counterexamples replay" `Quick test_mismatch_replays;
         ] );
       ("stats", [ Alcotest.test_case "counts" `Quick test_stats ]);
       ( "properties",
-        [ qt prop_random_netlists_valid; qt prop_identity_map_equiv ] );
+        [
+          qt prop_random_netlists_valid;
+          qt prop_identity_map_equiv;
+          qt prop_words_match_oracle;
+        ] );
     ]

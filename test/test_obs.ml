@@ -240,7 +240,12 @@ let test_flow_counters_populated () =
       "route.ripup_iterations"; "route.nets"; "cuts.nodes";
       "cuts.enumerated";
     ];
-  Alcotest.(check bool) "moves > 0" true (List.assoc "anneal.moves" c > 0.0)
+  Alcotest.(check bool) "moves > 0" true (List.assoc "anneal.moves" c > 0.0);
+  (* Each of the three front-end Fast gates (map, compact, buffer) drives
+     at least one full word of 63 random sequences. *)
+  Alcotest.(check bool) "Fast gates drive >= 63 sequences each" true
+    (Option.value ~default:0.0 (List.assoc_opt "equiv.sequences" c)
+    >= 3.0 *. 63.0)
 
 let test_resil_events_on_timeline () =
   (* Events recorded into the caller's log land on the trace timeline as
