@@ -533,13 +533,12 @@ let export_cmd =
   in
   let run paper seed design prefix =
     let nl = design_of_name paper design in
-    let arch = Arch.granular_plb in
-    let compacted = Compact.run arch nl in
-    let buffered = Buffering.insert ~max_fanout:8 compacted in
-    let pl = Placement.create buffered in
-    Global_place.place ~seed pl;
-    let q = Quadrisect.legalize arch pl in
-    Quadrisect.snap q pl;
+    let buffered, q, pl =
+      Flow.packed ~cache:Cache.none ~log:(Vpga_resil.Log.create ())
+        ~trace:Trace.null
+        { Stagekey.default with seed }
+        Arch.granular_plb nl
+    in
     Export.write_file (prefix ^ ".v") (Export.verilog buffered);
     Export.write_file (prefix ^ ".def") (Export.def_ ~packing:q pl);
     Export.write_file (prefix ^ ".svg") (Export.svg q pl);

@@ -283,28 +283,17 @@ let via_table ?(seed = 1) scale =
    for the VPGA fabric.  Same packed design and routed topology, two
    extraction models: ASIC-style custom metal vs switched regular tracks. *)
 let routing_styles ?(seed = 1) scale =
-  let module Placement = Vpga_place.Placement in
-  let module Global = Vpga_place.Global in
-  let module Buffering = Vpga_place.Buffering in
-  let module Quadrisect = Vpga_pack.Quadrisect in
   let module Pathfinder = Vpga_route.Pathfinder in
   let module Sta = Vpga_timing.Sta in
   let arch = Arch.granular_plb in
   List.map
     (fun (name, nl) ->
-      let buffered = Buffering.insert ~max_fanout:8 (Compact.run arch nl) in
-      let pl = Placement.create buffered in
-      Global.place ~seed pl;
-      let q = Quadrisect.legalize arch pl in
-      let side = sqrt arch.Arch.tile_area in
-      let pl_b =
-        {
-          pl with
-          Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-          die_h = float_of_int q.Quadrisect.rows *. side;
-        }
+      let buffered, _, pl_b =
+        Flow.packed ~cache:Vpga_cache.Cache.none ~log:(Vpga_resil.Log.create ())
+          ~trace:Vpga_obs.Trace.null
+          { Stagekey.default with seed }
+          arch nl
       in
-      Quadrisect.snap q pl_b;
       let routed = Pathfinder.route_placement pl_b in
       let slack wire =
         Sta.average_top_slack (Sta.run ~wire buffered) 10

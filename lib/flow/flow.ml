@@ -33,7 +33,7 @@ module Ckey = Vpga_cache.Key
 
 type kind = Flow_a | Flow_b
 
-type verify = Off | Fast | Formal
+type verify = Stagekey.verify = Off | Fast | Formal
 
 type outcome = {
   design : string;
@@ -70,6 +70,112 @@ let check_structure ~stage nl =
   | Ok () -> ()
   | Error msg -> failwith (Printf.sprintf "%s: invalid netlist: %s" stage msg)
 
+(* --- the shared physical front-end --------------------------------------
+
+   The stages {!run} shares with {!packed}, and through it with
+   {!Minchan.search}, E14 and [vpga export].  Each takes the cache-key
+   options, the cache / log / trace sinks and the upstream digests its
+   caller holds (lazily: a disabled cache forces none), and opens no
+   span — callers wrap them in their own.  Every boundary goes through
+   {!Stagekey.memo}: a hit replays the recovery events its compute
+   recorded, a miss stores them. *)
+
+(* [labels] compacts through [Compact.run_traced]: the same cover at the
+   same pass count, with the incremental FlowMap labeler running
+   alongside so [flowmap.*] counters land on the ambient trace. *)
+let compact ~cache ~log ~trace ~labels opts ~d_nl ~d_arch arch nl =
+  Stagekey.memo cache ~log ~trace
+    (fun () ->
+      Stagekey.compact ~nl:(Lazy.force d_nl) ~arch:(Lazy.force d_arch) opts)
+    (fun () ->
+      if labels then fst (Compact.run_traced arch nl) else Compact.run arch nl)
+
+let buffer ~cache ~log ~trace opts ~d_compacted compacted =
+  Stagekey.memo cache ~log ~trace
+    (fun () ->
+      Stagekey.buffer ~compacted:(Lazy.force d_compacted) ~max_fanout:8 opts)
+    (fun () -> Buffering.insert ~max_fanout:8 compacted)
+
+(* The cached value is the coordinate arrays: [Placement.create] (graph
+   construction) reruns on a hit — cheap — and the coordinates blit into
+   the fresh placement, so downstream mutation (annealing, snapping)
+   works on this run's own arrays. *)
+let place_global ~cache ~log ~trace opts ~d_buffered buffered =
+  let pl = Placement.create ~utilization:opts.Stagekey.utilization buffered in
+  let px, py =
+    Stagekey.memo cache ~log ~trace
+      (fun () -> Stagekey.place_global ~buffered:(Lazy.force d_buffered) opts)
+      (fun () ->
+        Global.place ~seed:opts.Stagekey.seed pl;
+        (pl.Placement.x, pl.Placement.y))
+  in
+  (* A miss hands back [pl]'s own arrays; only a hit needs the blit. *)
+  if px != pl.Placement.x then begin
+    Array.blit px 0 pl.Placement.x 0 (Array.length px);
+    Array.blit py 0 pl.Placement.y 0 (Array.length py)
+  end;
+  pl
+
+(* Legalization under the relaxation ladder: an unfittable design buys
+   the next attempt a roomier array (lower target utilization).
+   Exhaustion is fatal — there is no flow b without a legal packing.
+   Dead tiles come from the same (normalized) defect map the key
+   digests; an absent [criticality] packs exactly like an all-zero one. *)
+let legalize ~cache ~log ~trace ?criticality opts ~d_arch ~d_buffered ~d_pl
+    arch pl =
+  let stage = "pack:quadrisect" in
+  let policy = opts.Stagekey.policy in
+  let dead_tile = Option.map Defect.tile_dead opts.Stagekey.defect in
+  let rec go attempt utilization =
+    match
+      Quadrisect.legalize_result ~utilization ?criticality ?dead_tile arch pl
+    with
+    | Ok q -> q
+    | Error fe ->
+        let reason = Quadrisect.fit_error_to_string fe in
+        if attempt + 1 < policy.Policy.max_attempts then begin
+          let u = utilization *. policy.Policy.pack_relaxation in
+          Log.record log (Log.Retry { stage; attempt = attempt + 1; reason });
+          Log.record log
+            (Log.Escalation
+               {
+                 stage;
+                 what =
+                   Printf.sprintf
+                     "grow the array: target utilization %.2f -> %.2f"
+                     utilization u;
+               });
+          go (attempt + 1) u
+        end
+        else
+          Fail.raise_
+            (Fail.make ~stage ~design:fe.Quadrisect.design
+               ~attempts:(attempt + 1)
+               ~diags:[ Diag.error "pack-unfit" "%s" reason ]
+               ~events:(Log.strings log) ())
+  in
+  Stagekey.memo cache ~log ~trace
+    (fun () ->
+      Stagekey.quadrisect ~arch:(Lazy.force d_arch)
+        ~buffered:(Lazy.force d_buffered) ~pl:(Lazy.force d_pl) opts)
+    (fun () -> go 0 policy.Policy.pack_utilization)
+
+let packed ~cache ~log ~trace opts arch nl =
+  (* Criticality-free legalization: the key must say so. *)
+  let opts = { opts with Stagekey.use_criticality = false } in
+  let d_nl = lazy (Ckey.netlist_hex nl) in
+  let d_arch = lazy (Ckey.arch_hex arch) in
+  let compacted =
+    compact ~cache ~log ~trace ~labels:false opts ~d_nl ~d_arch arch nl
+  in
+  let d_compacted = lazy (Ckey.netlist_hex compacted) in
+  let buffered = buffer ~cache ~log ~trace opts ~d_compacted compacted in
+  let d_buffered = lazy (Ckey.netlist_hex buffered) in
+  let pl = place_global ~cache ~log ~trace opts ~d_buffered buffered in
+  let d_pl = lazy (Stagekey.placement_hex pl) in
+  let q = legalize ~cache ~log ~trace opts ~d_arch ~d_buffered ~d_pl arch pl in
+  (buffered, q, Quadrisect.snap q pl)
+
 let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
     ?anneal_iterations ?(refine = true) ?(use_criticality = true)
     ?(jobs = 1) ?(verify = Fast) ?(policy = Policy.default) ?log
@@ -84,7 +190,6 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
     match defect with Some d when Defect.is_empty d -> None | d -> d
   in
   let track_fn = Option.map Defect.tracks defect in
-  let dead_tile_fn = Option.map Defect.tile_dead defect in
   (* Content-addressed memoization of the stage boundaries.  Every key is
      built in [Stagekey] from the digests of the stage's actual inputs,
      so a hit is exactly a rerun of the same deterministic computation;
@@ -98,7 +203,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
       utilization;
       anneal_iterations;
       use_criticality;
-      verify = (match verify with Off -> 0 | Fast -> 1 | Formal -> 2);
+      verify;
       policy;
       defect;
     }
@@ -111,26 +216,6 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
      this task's registry.  With [trace = Trace.null] every span is one
      branch and nothing else. *)
   let span ?attrs name f = Trace.with_span ?attrs trace name f in
-  (* Replay the recovery log onto the trace timeline as instant events;
-     [Log.record] stamps the same monotonic clock the spans use, so they
-     correlate exactly. *)
-  let flush_recovery () =
-    List.iter
-      (fun { Log.at_ns; event } ->
-        let name, stage, detail =
-          match event with
-          | Log.Retry { stage; attempt; reason } ->
-              ( "resil:retry",
-                stage,
-                Printf.sprintf "attempt %d: %s" attempt reason )
-          | Log.Escalation { stage; what } -> ("resil:escalate", stage, what)
-          | Log.Degraded { stage; what } -> ("resil:degrade", stage, what)
-        in
-        Trace.instant ~ts_ns:at_ns
-          ~attrs:[ ("stage", Attr.Str stage); ("detail", Attr.Str detail) ]
-          trace name)
-      (Log.timed log)
-  in
   (* Every stage boundary goes through {!Stagekey.memo}: a hit replays
      the recovery events its compute recorded, a miss stores them. *)
   let memo mk compute = Stagekey.memo cache ~log ~trace mk compute in
@@ -241,7 +326,14 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
       span stage (fun () ->
           guard stage (fun () -> Diag.fail_on_errors ~stage (check ())))
   in
-  let body () =
+  span "flow"
+    ~attrs:
+      [
+        ("design", Attr.Str design);
+        ("arch", Attr.Str arch.Arch.name);
+        ("seed", Attr.Int seed);
+      ]
+  @@ fun () ->
   span "verify:input" (fun () ->
       structure "verify:input" nl;
       if vfast then
@@ -271,21 +363,14 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
       equiv_gate "verify:techmap" mapped d_mapped);
   let compacted, compaction_gain =
     span "compact" (fun () ->
-        (* Traced runs go through [run_traced]: same cover at the same pass
-           count, but the incremental FlowMap labeler runs alongside, so
-           [flowmap.*] counters land in the trace.  From-scratch labeling is
-           far costlier than the compaction DP on large inputs, so callers
-           that trace for stage {e timings} (the bench sweep) opt out via
-           [trace_labels:false]. *)
+        (* Traced runs label alongside compaction; from-scratch labeling
+           is far costlier than the compaction DP on large inputs, so
+           callers that trace for stage {e timings} (the bench sweep) opt
+           out via [trace_labels:false]. *)
         let compacted =
-          memo
-            (fun () ->
-              Stagekey.compact ~nl:(Lazy.force d_nl)
-                ~arch:(Lazy.force d_arch) opts)
-            (fun () ->
-              if trace_labels && Trace.enabled trace then
-                fst (Compact.run_traced arch nl)
-              else Compact.run arch nl)
+          compact ~cache ~log ~trace
+            ~labels:(trace_labels && Trace.enabled trace)
+            opts ~d_nl ~d_arch arch nl
         in
         let before = Techmap.cell_area mapped in
         let gain =
@@ -300,13 +385,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
       equiv_gate "verify:compact" compacted d_compacted);
   let buffered, cell_area, config_histogram =
     span "buffer" (fun () ->
-        let buffered =
-          memo
-            (fun () ->
-              Stagekey.buffer ~compacted:(Lazy.force d_compacted)
-                ~max_fanout:8 opts)
-            (fun () -> Buffering.insert ~max_fanout:8 compacted)
-        in
+        let buffered = buffer ~cache ~log ~trace opts ~d_compacted compacted in
         ( buffered,
           Techmap.cell_area buffered,
           Compact.config_histogram buffered ))
@@ -317,27 +396,10 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
       equiv_gate "verify:buffer" buffered d_buffered);
   Trace.set trace "flow.gate_count" gate_count;
   Trace.set trace "flow.cells" (float_of_int (Netlist.size buffered));
-  (* Placement (shared).  The cached value is the coordinate arrays:
-     [Placement.create] (graph construction) reruns on a hit — cheap —
-     and the coordinates blit into the fresh placement, so downstream
-     mutation (annealing, snapping) works on this run's own arrays. *)
+  (* Placement (shared by both flows). *)
   let pl =
     span "place:global" (fun () ->
-        let pl = Placement.create ~utilization buffered in
-        let px, py =
-          memo
-            (fun () ->
-              Stagekey.place_global ~buffered:(Lazy.force d_buffered) opts)
-            (fun () ->
-              Global.place ~seed pl;
-              (pl.Placement.x, pl.Placement.y))
-        in
-        (* A miss hands back [pl]'s own arrays; only a hit needs the blit. *)
-        if px != pl.Placement.x then begin
-          Array.blit px 0 pl.Placement.x 0 (Array.length px);
-          Array.blit py 0 pl.Placement.y 0 (Array.length py)
-        end;
-        pl)
+        place_global ~cache ~log ~trace opts ~d_buffered buffered)
   in
   let d_pl_global = if keyed then Stagekey.placement_hex pl else "" in
   (* Criticality from a pre-route timing estimate. *)
@@ -534,46 +596,10 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
     }
   in
   (* ---- Flow b: pack into the PLB array ---- *)
-  (* Legalization under the relaxation ladder: an unfittable design buys
-     the next attempt a roomier array (lower target utilization).
-     Exhaustion is fatal — there is no flow b without a legal packing. *)
   let q =
-    span "pack:quadrisect" @@ fun () ->
-    let stage = "pack:quadrisect" in
-    memo
-      (fun () ->
-        Stagekey.quadrisect ~arch:(Lazy.force d_arch)
-          ~buffered:(Lazy.force d_buffered) ~pl:d_pl opts)
-    @@ fun () ->
-    let rec go attempt utilization =
-      match
-        Quadrisect.legalize_result ~utilization ~criticality:crit
-          ?dead_tile:dead_tile_fn arch pl
-      with
-      | Ok q -> q
-      | Error fe ->
-          let reason = Quadrisect.fit_error_to_string fe in
-          if attempt + 1 < policy.Policy.max_attempts then begin
-            let u = utilization *. policy.Policy.pack_relaxation in
-            Log.record log (Log.Retry { stage; attempt = attempt + 1; reason });
-            Log.record log
-              (Log.Escalation
-                 {
-                   stage;
-                   what =
-                     Printf.sprintf
-                       "grow the array: target utilization %.2f -> %.2f"
-                       utilization u;
-                 });
-            go (attempt + 1) u
-          end
-          else
-            Fail.raise_
-              (Fail.make ~stage ~design ~attempts:(attempt + 1)
-                 ~diags:[ Diag.error "pack-unfit" "%s" reason ]
-                 ~events:(Log.strings log) ())
-    in
-    go 0 policy.Policy.pack_utilization
+    span "pack:quadrisect" (fun () ->
+        legalize ~cache ~log ~trace ~criticality:crit opts ~d_arch ~d_buffered
+          ~d_pl:(Lazy.from_val d_pl) arch pl)
   in
   (* One precomputed dead-tile view at the final packing's dims, shared
      by the checker and the refinement loop. *)
@@ -585,19 +611,7 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
   in
   phys "verify:packing" (fun () ->
       Phys.check_packing ?dead_tile:dead_pred q buffered);
-  let pl_b =
-    span "pack:snap" (fun () ->
-        let side = sqrt arch.Arch.tile_area in
-        let pl_b =
-          {
-            pl with
-            Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-            die_h = float_of_int q.Quadrisect.rows *. side;
-          }
-        in
-        Quadrisect.snap q pl_b;
-        pl_b)
-  in
+  let pl_b = span "pack:snap" (fun () -> Quadrisect.snap q pl) in
   (* The paper's packing <-> physical-synthesis iteration: refine tile
      assignments under the criticality-weighted wirelength cost. *)
   if refine then begin
@@ -696,20 +710,3 @@ let run ?(seed = 1) ?(period = 500.0) ?(utilization = 0.7)
     }
   in
   { a = outcome_a; b = outcome_b }
-  in
-  match
-    span "flow"
-      ~attrs:
-        [
-          ("design", Attr.Str design);
-          ("arch", Attr.Str arch.Arch.name);
-          ("seed", Attr.Int seed);
-        ]
-      body
-  with
-  | pair ->
-      flush_recovery ();
-      pair
-  | exception e ->
-      flush_recovery ();
-      raise e

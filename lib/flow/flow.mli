@@ -13,7 +13,7 @@
 
 type kind = Flow_a | Flow_b
 
-type verify = Off | Fast | Formal
+type verify = Stagekey.verify = Off | Fast | Formal
 (** Verification level threaded through {!run}:
 
     - [Off] runs no checks at all (ablation / raw-speed benchmarking);
@@ -99,8 +99,8 @@ val run :
     routing, timing, power and every verification gate), counter updates
     from the inner loops (annealer moves, PathFinder rip-up iterations,
     SAT conflicts/decisions/propagations, cut enumeration) via the
-    ambient-trace mechanism, and the recovery log replayed as instant
-    events on the same monotonic timeline.  Export with
+    ambient-trace mechanism, and an instant for each recovery event at
+    the moment {!Vpga_resil.Log.record} records it.  Export with
     {!Vpga_obs.Export}.  A [null] trace reduces every probe to a single
     branch, so the instrumented flow's cost is unchanged when tracing is
     off.  [trace_labels] (default true) makes a {e traced} run compact
@@ -156,3 +156,32 @@ val check_equivalence : Vpga_netlist.Netlist.t -> Vpga_netlist.Netlist.t -> unit
 val check_structure : stage:string -> Vpga_netlist.Netlist.t -> unit
 (** {!Vpga_netlist.Netlist.validate} as a hard flow gate.
     @raise Failure when the netlist is structurally invalid. *)
+
+(** {2 The shared physical front-end}
+
+    The flow-b front-end other drivers need — {!Minchan.search}, E14
+    ({!Experiments.routing_styles}) and [vpga export] — runs {!run}'s
+    own stage functions, so its cache keys, computes and recovery ladder
+    are the flow's. *)
+
+val packed :
+  cache:Vpga_cache.Cache.t ->
+  log:Vpga_resil.Log.t ->
+  trace:Vpga_obs.Trace.t ->
+  Stagekey.options ->
+  Vpga_plb.Arch.t ->
+  Vpga_netlist.Netlist.t ->
+  Vpga_netlist.Netlist.t * Vpga_pack.Quadrisect.t * Vpga_place.Placement.t
+(** [packed ~cache ~log ~trace opts arch nl] is the buffered netlist,
+    its packing and the snapped placement
+    ({!Vpga_pack.Quadrisect.snap}: the die is the PLB array), from
+    {!run}'s [compact], [buffer] and [place:global] stages and its
+    [pack:quadrisect] legalization without criticality — keyed with
+    [use_criticality = false] whatever [opts] says, dead tiles from
+    [opts.defect], under the policy's relaxation ladder, whose events go
+    to [log] and, as instants, to the ambient trace.  No labels,
+    verification gates or annealing.  Each stage is memoized in [cache]
+    through {!Stagekey.memo}; no span is opened, so callers keep their
+    own span names.
+    @raise Vpga_resil.Fail.Stage_failure when legalization exhausts the
+    policy's relaxation ladder. *)

@@ -17,18 +17,12 @@
    snapped packing, so the search isolates the routing question from the
    placement one. *)
 
-module Netlist = Vpga_netlist.Netlist
 module Arch = Vpga_plb.Arch
 module Config = Vpga_plb.Config
-module Compact = Vpga_mapper.Compact
-module Buffering = Vpga_place.Buffering
-module Placement = Vpga_place.Placement
-module Global = Vpga_place.Global
 module Quadrisect = Vpga_pack.Quadrisect
 module Pathfinder = Vpga_route.Pathfinder
 module Detail = Vpga_route.Detail
 module Sta = Vpga_timing.Sta
-module Diag = Vpga_verify.Diag
 module Fail = Vpga_resil.Fail
 module Policy = Vpga_resil.Policy
 module Defect = Vpga_resil.Defect
@@ -37,7 +31,6 @@ module Trace = Vpga_obs.Trace
 module Attr = Vpga_obs.Span
 module Pool = Vpga_par.Pool
 module Cache = Vpga_cache.Cache
-module Ckey = Vpga_cache.Key
 
 type metrics = {
   wirelength : float;  (* um, at W_min *)
@@ -58,119 +51,20 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
     ?(w_max = 64) ?(max_iterations = 30) ?log ?(trace = Trace.null)
     ?(defect = Defect.empty) ?(cache = Cache.none) arch nl =
   if w_max < 1 then invalid_arg "Minchan.search: w_max < 1";
-  let design = Netlist.design_name nl in
   let log = match log with Some l -> l | None -> Log.create () in
   let span ?attrs name f = Trace.with_span ?attrs trace name f in
-  let dead_tile =
-    if Defect.is_empty defect then None else Some (Defect.tile_dead defect)
-  in
-  let tracks =
-    if Defect.is_empty defect then None else Some (Defect.tracks defect)
-  in
-  (* The defect-free stages feed the same keys {!Flow.run} builds —
-     identical computes, [Placement.create]'s default 0.7 utilization —
-     so a stress sweep shares its front-end with a paper sweep, and the
-     defect maps of every rate share one (design, arch) front-end. *)
-  let keyed = Cache.enabled cache in
+  let defect = if Defect.is_empty defect then None else Some defect in
+  let tracks = Option.map Defect.tracks defect in
+  (* The front-end stages are {!Flow.run}'s own ([Flow.packed]): the same
+     keys and computes, so a stress sweep shares its front-end with a
+     paper sweep, and the defect maps of every rate share one
+     (design, arch) front-end up to legalization. *)
   let opts =
-    {
-      Stagekey.seed;
-      period;
-      utilization = 0.7;
-      anneal_iterations = None;
-      use_criticality = false;
-      verify = 0;
-      policy;
-      defect = (if Defect.is_empty defect then None else Some defect);
-    }
+    { Stagekey.default with seed; period; verify = Off; policy; defect }
   in
-  let d_nl = lazy (Ckey.netlist_hex nl) in
-  let d_arch = lazy (Ckey.arch_hex arch) in
-  (* Every stage boundary goes through {!Stagekey.memo}: a hit replays
-     the recovery events its compute recorded, a miss stores them. *)
-  let memo mk compute = Stagekey.memo cache ~log ~trace mk compute in
-  (* Shared front-end, run once per search: compact, buffer, place, then
-     legalize under the policy's relaxation ladder (the same escalation
-     the flow uses, so an unfittable probe fails as a typed
-     [Stage_failure] instead of killing sibling tasks). *)
-  let q, pl_b, buffered =
-    span "minchan:frontend" @@ fun () ->
-    let compacted =
-      memo
-        (fun () ->
-          Stagekey.compact ~nl:(Lazy.force d_nl) ~arch:(Lazy.force d_arch)
-            opts)
-        (fun () -> Compact.run arch nl)
-    in
-    let d_compacted = lazy (Ckey.netlist_hex compacted) in
-    let buffered =
-      memo
-        (fun () ->
-          Stagekey.buffer ~compacted:(Lazy.force d_compacted) ~max_fanout:8
-            opts)
-        (fun () -> Buffering.insert ~max_fanout:8 compacted)
-    in
-    let d_buffered = lazy (Ckey.netlist_hex buffered) in
-    let pl = Placement.create buffered in
-    let px, py =
-      memo
-        (fun () ->
-          Stagekey.place_global ~buffered:(Lazy.force d_buffered) opts)
-        (fun () ->
-          Global.place ~seed pl;
-          (pl.Placement.x, pl.Placement.y))
-    in
-    if px != pl.Placement.x then begin
-      Array.blit px 0 pl.Placement.x 0 (Array.length px);
-      Array.blit py 0 pl.Placement.y 0 (Array.length py)
-    end;
-    let d_pl = if keyed then Stagekey.placement_hex pl else "" in
-    let stage = "stress:pack" in
-    let rec pack attempt utilization =
-      match
-        Quadrisect.legalize_result ~utilization ?dead_tile arch pl
-      with
-      | Ok q -> q
-      | Error fe ->
-          let reason = Quadrisect.fit_error_to_string fe in
-          if attempt + 1 < policy.Policy.max_attempts then begin
-            let u = utilization *. policy.Policy.pack_relaxation in
-            Log.record log
-              (Log.Retry { stage; attempt = attempt + 1; reason });
-            Log.record log
-              (Log.Escalation
-                 {
-                   stage;
-                   what =
-                     Printf.sprintf
-                       "grow the array: target utilization %.2f -> %.2f"
-                       utilization u;
-                 });
-            pack (attempt + 1) u
-          end
-          else
-            Fail.raise_
-              (Fail.make ~stage ~design ~attempts:(attempt + 1)
-                 ~diags:[ Diag.error "pack-unfit" "%s" reason ]
-                 ~events:(Log.strings log) ())
-    in
-    let q =
-      memo
-        (fun () ->
-          Stagekey.stress_pack ~arch:(Lazy.force d_arch)
-            ~buffered:(Lazy.force d_buffered) ~pl:d_pl opts)
-        (fun () -> pack 0 policy.Policy.pack_utilization)
-    in
-    let side = sqrt arch.Arch.tile_area in
-    let pl_b =
-      {
-        pl with
-        Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-        die_h = float_of_int q.Quadrisect.rows *. side;
-      }
-    in
-    Quadrisect.snap q pl_b;
-    (q, pl_b, buffered)
+  let buffered, q, pl_b =
+    span "minchan:frontend" (fun () ->
+        Flow.packed ~cache ~log ~trace opts arch nl)
   in
   (* One probe per capacity, memoized twice over: the per-search table
      (the bisection revisits endpoints, the metrics pass reuses the
@@ -180,7 +74,9 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
      cache, so a search's [probes] count is identical cold and warm. *)
   let probe_table = Hashtbl.create 8 in
   let probes = ref 0 in
-  let d_plb = if keyed then Stagekey.placement_hex pl_b else "" in
+  let d_plb =
+    if Cache.enabled cache then Stagekey.placement_hex pl_b else ""
+  in
   let probe w =
     match Hashtbl.find_opt probe_table w with
     | Some r -> r
@@ -193,7 +89,7 @@ let search ?(seed = 1) ?(period = 500.0) ?(policy = Policy.default)
              and whether it routed (1.0) or not (0.0). *)
           Trace.emit_sample "minchan.probe_w" (float_of_int w);
           let r =
-            memo
+            Stagekey.memo cache ~log ~trace
               (fun () ->
                 Stagekey.minchan_probe ~plb:d_plb ~w ~max_iterations opts)
               (fun () ->

@@ -46,19 +46,21 @@ val search :
   Vpga_netlist.Netlist.t ->
   search_result
 (** Find the minimum routable channel capacity of one design on one
-    architecture under one defect map.  The front-end (compact, buffer,
-    place, legalize, snap) runs once; legalization reuses the policy's
-    relaxation ladder and raises a typed failure when exhausted, so a
-    sweep task that cannot even pack fails in isolation.  Probes are
-    memoized per capacity and traced as [minchan:probe] spans with a
-    [minchan.probes] counter.
+    architecture under one defect map.  The front-end runs once, inside
+    a [minchan:frontend] span: {!Flow.packed}, i.e. {!Flow.run}'s own
+    compact, buffer, global-place, legalize and snap stages.
+    Legalization is the flow's [pack:quadrisect] stage without
+    criticality, under the policy's relaxation ladder; it raises a typed
+    failure when exhausted, so a sweep task that cannot even pack fails
+    in isolation, and its retry/escalation events reach [log] and, as
+    instants, [trace].  Probes are memoized per capacity and traced as
+    [minchan:probe] spans with a [minchan.probes] counter.
 
-    With [cache], the defect-independent front-end stages feed the same
-    content-addressed keys {!Flow.run} builds (identical computes), so
-    the sweep's defect maps share one front-end per (design, arch) and
-    a stress sweep shares work with a paper sweep; the defect-dependent
-    legalization and the routing probes key on the defect map's full
-    fingerprint.  The [probes] count records {e requested} probes —
+    With [cache], the front-end stages are {!Flow.run}'s keys and
+    computes, so the sweep's defect maps share one front-end per
+    (design, arch) and a stress sweep shares work with a paper sweep;
+    the defect-dependent legalization and the routing probes key on the
+    defect map's full fingerprint.  The [probes] count records {e requested} probes —
     identical whether the cache serves them or not.
     @raise Vpga_resil.Fail.Stage_failure when legalization exhausts the
     policy's relaxation ladder.

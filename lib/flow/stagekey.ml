@@ -12,16 +12,32 @@ module Defect = Vpga_resil.Defect
 module Placement = Vpga_place.Placement
 module Quadrisect = Vpga_pack.Quadrisect
 
+type verify = Off | Fast | Formal
+
 type options = {
   seed : int;
   period : float;
   utilization : float;
   anneal_iterations : int option;
   use_criticality : bool;
-  verify : int;
+  verify : verify;
   policy : Policy.t;
   defect : Defect.t option;
 }
+
+let default =
+  {
+    seed = 1;
+    period = 500.0;
+    utilization = 0.7;
+    anneal_iterations = None;
+    use_criticality = true;
+    verify = Fast;
+    policy = Policy.default;
+    defect = None;
+  }
+
+let verify e v = E.int e (match v with Off -> 0 | Fast -> 1 | Formal -> 2)
 
 (* Exhaustive over {!Policy.t}: a new knob cannot ship without being fed
    here (or explicitly bound away), so policy-sensitive stages never hit
@@ -110,7 +126,7 @@ let quad_hex (q : Quadrisect.t) =
    - "place:global", "place:anneal": the (x, y) coordinate arrays
    - "power:activities": the per-node activity array
    - "route:a", "route:b": (Pathfinder.result, via count)
-   - "pack:quadrisect", "stress:pack": a Quadrisect.t
+   - "pack:quadrisect": a Quadrisect.t
    - "pack:refine": (tile_of_node, x, y)
    - "minchan:probe": (Pathfinder.result, Detail.t option) *)
 
@@ -175,7 +191,7 @@ let verify_gate ~stage ~source ~candidate o =
     utilization = _;
     anneal_iterations = _;
     use_criticality = _;
-    verify;
+    verify = v;
     policy = p;
     defect = _;
   } =
@@ -184,7 +200,7 @@ let verify_gate ~stage ~source ~candidate o =
   Key.make ~stage (fun e ->
       E.str e source;
       E.str e candidate;
-      E.int e verify;
+      verify e v;
       policy e p)
 
 (* No defect feed: the healthy front-end is shared across defect maps —
@@ -257,7 +273,7 @@ let route ~tag ~buffered ~pl o =
     utilization = _;
     anneal_iterations = _;
     use_criticality = _;
-    verify;
+    verify = v;
     policy = p;
     defect = d;
   } =
@@ -266,7 +282,7 @@ let route ~tag ~buffered ~pl o =
   Key.make ~stage:("route:" ^ tag) (fun e ->
       E.str e buffered;
       E.str e pl;
-      E.int e verify;
+      verify e v;
       policy e p;
       opt_defect e d)
 
@@ -311,29 +327,6 @@ let refine ~buffered ~q o =
       E.int e seed;
       E.float e period;
       E.bool e use_criticality;
-      opt_defect e d)
-
-(* Minchan's criticality-free legalization: distinct stage (distinct
-   compute, distinct value provenance) even though it shares the
-   Quadrisect.t value shape. *)
-let stress_pack ~arch ~buffered ~pl o =
-  let {
-    seed = _;
-    period = _;
-    utilization = _;
-    anneal_iterations = _;
-    use_criticality = _;
-    verify = _;
-    policy = p;
-    defect = d;
-  } =
-    o
-  in
-  Key.make ~stage:"stress:pack" (fun e ->
-      E.str e arch;
-      E.str e buffered;
-      E.str e pl;
-      policy e p;
       opt_defect e d)
 
 let minchan_probe ~plb ~w ~max_iterations o =

@@ -13,10 +13,13 @@
     for the verify gates, coordinate arrays for the placement stages,
     the activity array for [power:activities],
     [(Pathfinder.result, vias)] for the route stages, [Quadrisect.t]
-    for the packing stages, [(tile_of_node, x, y)] for [pack:refine]
+    for [pack:quadrisect], [(tile_of_node, x, y)] for [pack:refine]
     and [(Pathfinder.result, Detail.t option)] for [minchan:probe].
     Every entry also carries the recovery-event suffix recorded during
     its compute, replayed on hit by {!memo}. *)
+
+type verify = Off | Fast | Formal
+(** The flow's verification level ({!Flow.verify} re-exports it). *)
 
 type options = {
   seed : int;
@@ -24,11 +27,16 @@ type options = {
   utilization : float;
   anneal_iterations : int option;
   use_criticality : bool;
-  verify : int;  (** 0 = Off, 1 = Fast, 2 = Formal *)
+  verify : verify;
   policy : Vpga_resil.Policy.t;
   defect : Vpga_resil.Defect.t option;
       (** normalized: [None] for the empty map *)
 }
+
+val default : options
+(** {!Flow.run}'s defaults: seed 1, period 500 ps, utilization 0.7, the
+    size-derived anneal budget, criticality on, [Fast], the default
+    policy, no defect map. *)
 
 val policy : Vpga_cache.Enc.t -> Vpga_resil.Policy.t -> unit
 val defect : Vpga_cache.Enc.t -> Vpga_resil.Defect.t -> unit
@@ -73,11 +81,6 @@ val quadrisect :
   arch:string -> buffered:string -> pl:string -> options -> Vpga_cache.Key.t
 
 val refine : buffered:string -> q:string -> options -> Vpga_cache.Key.t
-
-val stress_pack :
-  arch:string -> buffered:string -> pl:string -> options -> Vpga_cache.Key.t
-(** {!Minchan}'s criticality-free legalization — its own stage name
-    because its compute differs from [pack:quadrisect]. *)
 
 val minchan_probe :
   plb:string -> w:int -> max_iterations:int -> options -> Vpga_cache.Key.t

@@ -126,12 +126,12 @@ let end_span ?(attrs = []) sp =
         !observe_hist s ("span:" ^ o.o_name) (Clock.ns_to_us dur_ns)
       end
 
-let instant ?ts_ns ?(attrs = []) t name =
+let instant ?(attrs = []) t name =
   match t with
   | None -> ()
   | Some s ->
-      let ts_ns = match ts_ns with Some ts -> ts | None -> Clock.now_ns () in
-      s.revents <- Span.Instant { name; ts_ns; attrs } :: s.revents
+      s.revents <-
+        Span.Instant { name; ts_ns = Clock.now_ns (); attrs } :: s.revents
 
 let events = function Some s -> List.rev s.revents | None -> []
 let open_spans = function Some s -> s.depth | None -> 0

@@ -54,10 +54,8 @@ val with_span : ?attrs:(string * Span.attr) list -> t -> string -> (unit -> 'a) 
     raises — spans recorded this way always balance and nest properly.
     Also installs [t] as the ambient trace for the extent of [f]. *)
 
-val instant : ?ts_ns:int64 -> ?attrs:(string * Span.attr) list -> t -> string -> unit
-(** A point event; [ts_ns] (default: now) lets callers replay events
-    recorded elsewhere — e.g. timestamped {!Vpga_resil.Log} entries —
-    onto the trace timeline. *)
+val instant : ?attrs:(string * Span.attr) list -> t -> string -> unit
+(** A point event, stamped now. *)
 
 val events : t -> Span.event list
 (** In recording order (a span is recorded when it {e closes}, so parents

@@ -73,9 +73,11 @@ val tile_side : t -> float
 (** Side length of one (square) tile, um. *)
 
 val tile_center : t -> int -> float * float
-val snap : t -> Vpga_place.Placement.t -> unit
-(** Move every packed node's coordinates to its tile center (the geometry
-    the router sees). *)
+val snap : t -> Vpga_place.Placement.t -> Vpga_place.Placement.t
+(** The flow-b placement (the geometry the router sees): moves every
+    packed node's coordinates to its tile center and returns the
+    placement with the die resized to the PLB array.  The result shares
+    the argument's coordinate arrays, which this call mutates. *)
 
 (** {2 Region decomposition}
 

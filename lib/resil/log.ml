@@ -2,25 +2,38 @@
    one, so no locking); the flow appends an event whenever a policy
    retries a stage, escalates a knob, or degrades a verification level.
    The sweep aggregates per-task summaries into the recovery counters
-   reported by [bin/vpga sweep] and BENCH_sweep.json. *)
+   reported by [bin/vpga sweep] and BENCH_sweep.json.  Recording also
+   marks the ambient trace, so the timeline sees each event when it
+   happens: one stream, no replay. *)
+
+module Trace = Vpga_obs.Trace
 
 type event =
   | Retry of { stage : string; attempt : int; reason : string }
   | Escalation of { stage : string; what : string }
   | Degraded of { stage : string; what : string }
 
-type timed = { at_ns : int64; event : event }
+type t = { mutable rev : event list (* newest first *) }
 
-type t = { mutable rev_timed : timed list (* newest first *) }
-
-let create () = { rev_timed = [] }
+let create () = { rev = [] }
 
 let record t e =
-  t.rev_timed <-
-    { at_ns = Vpga_obs.Clock.now_ns (); event = e } :: t.rev_timed
+  t.rev <- e :: t.rev;
+  let trace = Trace.ambient () in
+  if Trace.enabled trace then begin
+    let name, stage, detail =
+      match e with
+      | Retry { stage; attempt; reason } ->
+          ("resil:retry", stage, Printf.sprintf "attempt %d: %s" attempt reason)
+      | Escalation { stage; what } -> ("resil:escalate", stage, what)
+      | Degraded { stage; what } -> ("resil:degrade", stage, what)
+    in
+    Trace.instant
+      ~attrs:[ ("stage", Vpga_obs.Span.Str stage); ("detail", Str detail) ]
+      trace name
+  end
 
-let events t = List.rev_map (fun te -> te.event) t.rev_timed
-let timed t = List.rev t.rev_timed
+let events t = List.rev t.rev
 
 let event_to_string = function
   | Retry { stage; attempt; reason } ->

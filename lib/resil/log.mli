@@ -14,21 +14,18 @@ type event =
       (** the stage gave up on its strong guarantee but the flow
           continues (e.g. Formal -> Fast, or detailed routing skipped) *)
 
-type timed = { at_ns : int64; event : event }
-(** An event stamped with the monotonic clock ({!Vpga_obs.Clock}) at
-    {!record} time, so recovery events can be correlated with trace spans
-    on one timeline. *)
-
 type t
 
 val create : unit -> t
 val record : t -> event -> unit
+(** Appends the event and marks the ambient trace
+    ({!Vpga_obs.Trace.ambient}) with a [resil:retry] / [resil:escalate] /
+    [resil:degrade] instant carrying [stage] and [detail] attributes, so
+    recovery events sit on the span timeline at the moment they happen.
+    No trace installed: no instant. *)
+
 val events : t -> event list
 (** Oldest first. *)
-
-val timed : t -> timed list
-(** Oldest first, with the monotonic timestamp each event was recorded
-    at.  Timestamps are nondecreasing. *)
 
 val event_to_string : event -> string
 val strings : t -> string list

@@ -1,30 +1,5 @@
-(* The generic fatal-ladder driver: run attempts until one succeeds or
-   the policy's cap is hit, recording a Retry event before each rerun
-   and raising a typed Stage_failure on exhaustion.  Stages whose
-   exhaustion is survivable (route overflow, anneal divergence) drive
-   their own loops in lib/flow and only share [reseed]. *)
-
-module Diag = Vpga_verify.Diag
-
-let run ~log ~(policy : Policy.t) ~stage ~design f =
-  let rec go attempt =
-    match f attempt with
-    | Ok v -> v
-    | Error reason ->
-        let next = attempt + 1 in
-        if next >= policy.Policy.max_attempts then
-          Fail.raise_
-            (Fail.make ~stage ~design ~attempts:next
-               ~diags:[ Diag.error "retries-exhausted" "%s" reason ]
-               ~events:(Log.strings log) ())
-        else begin
-          Log.record log (Log.Retry { stage; attempt = next; reason });
-          go next
-        end
-  in
-  go 0
-
-(* Attempt [0] must reproduce the un-retried flow exactly, so the
-   derived seed is the base seed itself; later attempts step by a prime
-   far from the small per-stage seed offsets the flow already uses. *)
+(* Derived reseeds for retried randomized stages.  Attempt [0] must
+   reproduce the un-retried flow exactly, so the derived seed is the base
+   seed itself; later attempts step by a prime far from the small
+   per-stage seed offsets the flow already uses. *)
 let reseed ~seed ~attempt = (seed + (7919 * attempt)) land 0x3FFFFFFF

@@ -1,21 +1,7 @@
-(** Generic retry driver for stages whose exhaustion is fatal.
-
-    Stages that can survive policy exhaustion by degrading (routing
-    overflow, anneal divergence) drive their own loops in [lib/flow]
-    and share only {!reseed}. *)
-
-val run :
-  log:Log.t ->
-  policy:Policy.t ->
-  stage:string ->
-  design:string ->
-  (int -> ('a, string) result) ->
-  'a
-(** [run ~log ~policy ~stage ~design f] calls [f 0], [f 1], ... until
-    one attempt returns [Ok] or [policy.max_attempts] attempts have
-    failed.  A {!Log.Retry} event is recorded before each rerun.
-    @raise Fail.Stage_failure on exhaustion, carrying the last failure
-    reason and the full event trail. *)
+(** Derived seeds for retried randomized stages.  Each recovery ladder
+    (routing, annealing, legalization, SAT budgets) drives its own loop
+    in [lib/flow]; a ladder that reruns a randomized stage (annealing)
+    takes its per-attempt seed from {!reseed}. *)
 
 val reseed : seed:int -> attempt:int -> int
 (** The derived seed for attempt [attempt] of a randomized stage.

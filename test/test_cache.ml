@@ -248,7 +248,7 @@ let test_cached_map_is_equivalent () =
       utilization = 0.7;
       anneal_iterations = None;
       use_criticality = true;
-      verify = 1;
+      verify = Flow.Fast;
       policy = Policy.default;
       defect = None;
     }

@@ -8,10 +8,6 @@
 
 module Netlist = Vpga_netlist.Netlist
 module Arch = Vpga_plb.Arch
-module Compact = Vpga_mapper.Compact
-module Buffering = Vpga_place.Buffering
-module Placement = Vpga_place.Placement
-module Global = Vpga_place.Global
 module Quadrisect = Vpga_pack.Quadrisect
 module Grid = Vpga_route.Grid
 module Router = Vpga_route.Router
@@ -32,26 +28,15 @@ let contains hay needle =
 
 let alu2 = lazy (Alu.build ~width:2 ())
 
-(* The flow's front-end up to a snapped packing, optionally under a
-   defect map's dead-tile predicate. *)
-let frontend ?dead_tile arch nl =
-  let buffered = Buffering.insert ~max_fanout:8 (Compact.run arch nl) in
-  let pl = Placement.create buffered in
-  Global.place ~seed:1 pl;
-  let q =
-    match Quadrisect.legalize_result ~utilization:0.9 ?dead_tile arch pl with
-    | Ok q -> q
-    | Error e -> Alcotest.fail (Quadrisect.fit_error_to_string e)
+(* The flow's front-end up to a snapped packing ([Flow.packed], uncached),
+   optionally under a defect map. *)
+let frontend ?defect arch nl =
+  let buffered, q, pl_b =
+    Flow.packed ~cache:Vpga_cache.Cache.none ~log:(Vpga_resil.Log.create ())
+      ~trace:Vpga_obs.Trace.null
+      { Vpga_flow.Stagekey.default with defect }
+      arch nl
   in
-  let side = sqrt arch.Arch.tile_area in
-  let pl_b =
-    {
-      pl with
-      Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-      die_h = float_of_int q.Quadrisect.rows *. side;
-    }
-  in
-  Quadrisect.snap q pl_b;
   (q, pl_b, buffered)
 
 (* --- generators and the transparency guarantee ------------------------- *)
@@ -155,8 +140,7 @@ let dead_tile_map = lazy (Defect.generate ~tile_rate:0.3 ~seed:11 ())
 let test_dead_tile_respected_and_caught () =
   let d = Lazy.force dead_tile_map in
   let q, _, buffered =
-    frontend ~dead_tile:(Defect.tile_dead d) Arch.granular_plb
-      (Lazy.force alu2)
+    frontend ~defect:d Arch.granular_plb (Lazy.force alu2)
   in
   let dead = Defect.dead_pred d ~cols:q.Quadrisect.cols ~rows:q.Quadrisect.rows in
   let n_tiles = q.Quadrisect.cols * q.Quadrisect.rows in
@@ -292,6 +276,63 @@ let test_minchan_search () =
   Alcotest.(check bool) "defected search completes" true
     (defected.Minchan.probes > 0)
 
+(* Goldens of the W_min search on the Test-scale ALU and Firewire, both
+   PLBs, defect rates 0 and 0.02 (map k = 0 seeded by [Minchan.map_seed],
+   search seeds by [Experiments.task_seed], as [Minchan.stress] does):
+   (design, arch, rate, w_min, probes, cols, rows, array area,
+   (wirelength, vias, wns)).  Floats are exact. *)
+let minchan_goldens =
+  [
+    ("ALU", "lut_plb", 0.0, Some 12, 8, 12, 12, 0x1.518p+15,
+     Some (0x1.8b650c97ffd2cp+14, 530, -0x1.688e1eb2b58fap+11));
+    ("ALU", "lut_plb", 0.02, Some 13, 8, 12, 12, 0x1.518p+15,
+     Some (0x1.a9d7471fc2d52p+14, 613, -0x1.6ae6cfadf0b16p+11));
+    ("ALU", "granular_plb", 0.0, Some 13, 8, 8, 8, 0x1.68p+14,
+     Some (0x1.3f4a8d8ec9e5dp+14, 592, -0x1.983e1c6833462p+10));
+    ("ALU", "granular_plb", 0.02, Some 13, 8, 8, 8, 0x1.68p+14,
+     Some (0x1.45d03c4df6317p+14, 624, -0x1.a2458d7ef1e9cp+10));
+    ("Firewire", "lut_plb", 0.0, Some 15, 8, 13, 13, 0x1.8c18p+15,
+     Some (0x1.1cc1b038980cfp+15, 709, -0x1.20d0dbb1a2c76p+11));
+    ("Firewire", "lut_plb", 0.02, Some 16, 8, 13, 13, 0x1.8c18p+15,
+     Some (0x1.235a701a4691ep+15, 739, -0x1.43a70bc64fbbp+11));
+    ("Firewire", "granular_plb", 0.0, Some 16, 8, 12, 12, 0x1.95p+15,
+     Some (0x1.0ed1c68206866p+15, 588, -0x1.d9e56f50f5358p+10));
+    ("Firewire", "granular_plb", 0.02, Some 19, 10, 12, 12, 0x1.95p+15,
+     Some (0x1.1f45ede44d8acp+15, 648, -0x1.ee1e48bcbf1acp+10));
+  ]
+
+let test_minchan_goldens () =
+  let designs = Experiments.designs Experiments.Test in
+  List.iter
+    (fun (name, arch_name, rate, w_min, probes, cols, rows, area, metrics) ->
+      let arch =
+        List.find
+          (fun a -> a.Arch.name = arch_name)
+          [ Arch.lut_plb; Arch.granular_plb ]
+      in
+      let defect =
+        Defect.at_rate ~seed:(Minchan.map_seed ~seed:1 name arch rate 0) rate
+      in
+      let r =
+        Minchan.search
+          ~seed:(Experiments.task_seed ~seed:1 name arch)
+          ~defect arch (List.assoc name designs)
+      in
+      let what = Printf.sprintf "%s/%s@%g " name arch_name rate in
+      Alcotest.(check (option int)) (what ^ "w_min") w_min r.Minchan.w_min;
+      Alcotest.(check int) (what ^ "probes") probes r.Minchan.probes;
+      Alcotest.(check (pair int int))
+        (what ^ "array dims") (cols, rows)
+        (r.Minchan.array_cols, r.Minchan.array_rows);
+      Alcotest.(check (float 0.0)) (what ^ "array area") area
+        r.Minchan.array_area;
+      Alcotest.(check (option (triple (float 0.0) int (float 0.0))))
+        (what ^ "metrics") metrics
+        (Option.map
+           (fun m -> Minchan.(m.wirelength, m.vias, m.wns))
+           r.Minchan.metrics))
+    minchan_goldens
+
 let test_stress_deterministic () =
   let designs = [ ("alu2", Lazy.force alu2) ] in
   let run jobs =
@@ -348,5 +389,7 @@ let () =
           Alcotest.test_case "search finds W_min" `Slow test_minchan_search;
           Alcotest.test_case "stress jobs determinism" `Slow
             test_stress_deterministic;
+          Alcotest.test_case "search goldens (Test ALU, Firewire)" `Slow
+            test_minchan_goldens;
         ] );
     ]

@@ -159,6 +159,19 @@ let test_routing_styles () =
         true (custom > regular))
     (Experiments.routing_styles Experiments.Test)
 
+(* E14 golden: the exact (custom, regular) top-10 slacks per Test design,
+   captured before the flow-b front-end was shared with [Flow]. *)
+let test_routing_styles_golden () =
+  Alcotest.(check (list (triple string (float 0.0) (float 0.0))))
+    "routing_styles Test"
+    [
+      ("ALU", -0x1.08163dd793b2fp+10, -0x1.f7437acdcc4a6p+10);
+      ("Firewire", -0x1.8faeb0c633b77p+10, -0x1.6eb46a358f3e6p+11);
+      ("FPU", -0x1.b60ce266bb555p+12, -0x1.5a31b44e679c6p+13);
+      ("Network switch", -0x1.c1ea7501a7ba2p+10, -0x1.99aea781a9ebep+11);
+    ]
+    (Experiments.routing_styles Experiments.Test)
+
 let test_displacement_mechanism () =
   (* perturbation data: legalization keeps cells within a few tiles of the
      ASIC placement on both architectures (reported, not a directional
@@ -269,6 +282,8 @@ let () =
           Alcotest.test_case "config delays" `Quick test_config_delay_table;
           Alcotest.test_case "firewire remedy (E10)" `Quick test_firewire_remedy;
           Alcotest.test_case "routing styles (E14)" `Quick test_routing_styles;
+          Alcotest.test_case "routing styles golden (E14)" `Quick
+            test_routing_styles_golden;
           Alcotest.test_case "seed stability" `Slow test_seed_stability;
           Alcotest.test_case "displacement data" `Quick
             test_displacement_mechanism;

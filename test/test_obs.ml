@@ -16,9 +16,11 @@ module Export = Vpga_obs.Export
 module Metrics = Vpga_obs.Metrics
 module Pool = Vpga_par.Pool
 module Log = Vpga_resil.Log
+module Policy = Vpga_resil.Policy
 module Arch = Vpga_plb.Arch
 
 let alu4 = lazy (Vpga_designs.Alu.build ~width:4 ())
+let alu2 = lazy (Vpga_designs.Alu.build ~width:2 ())
 
 (* --- Clock ------------------------------------------------------------ *)
 
@@ -248,21 +250,54 @@ let test_flow_counters_populated () =
     >= 3.0 *. 63.0)
 
 let test_resil_events_on_timeline () =
-  (* Events recorded into the caller's log land on the trace timeline as
-     instants, tagged with their stage. *)
-  let log = Log.create () in
-  Log.record log (Log.Degraded { stage = "verify:cec"; what = "budget" });
-  Log.record log
-    (Log.Retry { stage = "route"; attempt = 1; reason = "overflow" });
-  let t, _ = traced_flow ~log () in
-  let instants =
-    List.filter_map
-      (function Span.Instant { name; _ } -> Some name | _ -> None)
+  (* A real retry: with the router started at channel capacity 1 the
+     routing stages retry and escalate.  Each recorded event lands on the
+     trace as an instant, tagged with its stage, inside the flow span —
+     one stream, recorded when the event happens. *)
+  let log = Log.create () and t = Trace.create () in
+  let policy =
+    { Policy.default with Policy.route_capacity = Some 1; max_attempts = 6 }
+  in
+  ignore
+    (Flow.run ~seed:3 ~anneal_iterations:1_000 ~policy ~log ~trace:t
+       Arch.granular_plb (Lazy.force alu2));
+  let s = Log.summary log in
+  Alcotest.(check bool) "flow retried" true (s.Log.retries > 0);
+  let flow_span =
+    List.find_map
+      (function
+        | Span.Complete { name = "flow"; ts_ns; dur_ns; _ } ->
+            Some (ts_ns, Int64.add ts_ns dur_ns)
+        | _ -> None)
       (Trace.events t)
   in
-  Alcotest.(check bool) "degrade instant" true
-    (List.mem "resil:degrade" instants);
-  Alcotest.(check bool) "retry instant" true (List.mem "resil:retry" instants)
+  let t0, t1 = Option.get flow_span in
+  let resil =
+    List.filter_map
+      (function
+        | Span.Instant { name; ts_ns; attrs }
+          when String.starts_with ~prefix:"resil:" name ->
+            Some (name, ts_ns, List.assoc_opt "stage" attrs)
+        | _ -> None)
+      (Trace.events t)
+  in
+  let count n = List.length (List.filter (fun (n', _, _) -> n' = n) resil) in
+  Alcotest.(check int) "one retry instant per retry" s.Log.retries
+    (count "resil:retry");
+  Alcotest.(check int) "one escalate instant per escalation"
+    s.Log.escalations (count "resil:escalate");
+  Alcotest.(check int) "one degrade instant per degradation" s.Log.degraded
+    (count "resil:degrade");
+  List.iter
+    (fun (name, ts, stage) ->
+      Alcotest.(check bool) (name ^ " inside the flow span") true
+        (ts >= t0 && ts <= t1);
+      match stage with
+      | Some (Span.Str st) ->
+          Alcotest.(check bool) (name ^ " names a route stage") true
+            (String.starts_with ~prefix:"route:" st)
+      | _ -> Alcotest.fail (name ^ " has no stage attribute"))
+    resil
 
 let test_trace_off_same_result () =
   let nl = Lazy.force alu4 in
@@ -660,16 +695,8 @@ let test_log_timestamps () =
   Log.record log (Log.Retry { stage = "s"; attempt = 1; reason = "r" });
   Log.record log (Log.Escalation { stage = "s"; what = "w" });
   Log.record log (Log.Degraded { stage = "s"; what = "w" });
-  let timed = Log.timed log in
-  Alcotest.(check int) "all recorded" 3 (List.length timed);
-  let rec nondecreasing = function
-    | a :: (b :: _ as rest) ->
-        Int64.compare a.Log.at_ns b.Log.at_ns <= 0 && nondecreasing rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "timestamps non-decreasing" true (nondecreasing timed);
-  (* The string rendering predates the timestamps and must not change:
-     failure records and tests key on it. *)
+  (* The string rendering must not change: failure records and tests key
+     on it. *)
   Alcotest.(check (list string))
     "event_to_string stable"
     [

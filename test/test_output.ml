@@ -121,8 +121,7 @@ let packed_fixture () =
   let pl = Placement.create nl in
   Global.place ~seed:3 pl;
   let q = Quadrisect.legalize Arch.granular_plb pl in
-  Quadrisect.snap q pl;
-  (nl, pl, q)
+  (nl, Quadrisect.snap q pl, q)
 
 let test_def_and_svg () =
   let nl, pl, q = packed_fixture () in
@@ -131,6 +130,27 @@ let test_def_and_svg () =
     (contains def (Printf.sprintf "DESIGN %s ;" (Netlist.design_name nl)));
   Alcotest.(check bool) "array line" true (contains def "PLBARRAY");
   Alcotest.(check bool) "placements with tiles" true (contains def "TILE");
+  (* Every component lies inside the die the DEF declares. *)
+  let lines = String.split_on_char '\n' def in
+  let w, h =
+    List.find_map
+      (fun l -> Scanf.sscanf_opt l "DIEAREA ( 0 0 ) ( %f %f )" (fun w h -> (w, h)))
+      lines
+    |> Option.get
+  in
+  let placed =
+    List.filter_map
+      (fun l -> Scanf.sscanf_opt l " - n%_d %_s PLACED ( %f %f )" (fun x y -> (x, y)))
+      lines
+  in
+  Alcotest.(check bool) "components placed" true (placed <> []);
+  List.iter
+    (fun (x, y) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "(%.1f, %.1f) inside DIEAREA (%.1f, %.1f)" x y w h)
+        true
+        (x >= 0.0 && x <= w && y >= 0.0 && y <= h))
+    placed;
   let svg = Export.svg q pl in
   Alcotest.(check bool) "svg root" true (contains svg "<svg");
   Alcotest.(check int) "one rect per tile"

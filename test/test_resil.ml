@@ -1,8 +1,8 @@
 (* Tests for the resilience layer: the typed-failure / policy / recovery-log
    plumbing, the seeded fault-injection harness (every corruption must be
    caught by vpga_verify, with zero silent pass-throughs), the flow's
-   retry-with-escalation ladders (routing capacity, anneal restarts, CEC
-   conflict budgets), sweep fault isolation, and determinism under retries
+   retry-with-escalation ladders (routing capacity, anneal restarts,
+   legalization relaxation, CEC conflict budgets), sweep fault isolation, and determinism under retries
    (a retried flow stays byte-identical whatever [jobs] is). *)
 
 module Netlist = Vpga_netlist.Netlist
@@ -23,7 +23,10 @@ module Policy = Vpga_resil.Policy
 module Log = Vpga_resil.Log
 module Retry = Vpga_resil.Retry
 module Flow = Vpga_flow.Flow
+module Minchan = Vpga_flow.Minchan
 module Experiments = Vpga_flow.Experiments
+module Trace = Vpga_obs.Trace
+module Span = Vpga_obs.Span
 open Vpga_designs
 
 let contains hay needle =
@@ -63,27 +66,6 @@ let test_log_recorder () =
     "rendered trail"
     [ "retry s (attempt 1): r"; "escalate s: w"; "degrade s: d" ]
     (Log.strings log)
-
-let test_retry_driver () =
-  let policy = { Policy.default with Policy.max_attempts = 4 } in
-  let log = Log.create () in
-  let v =
-    Retry.run ~log ~policy ~stage:"st" ~design:"d" (fun attempt ->
-        if attempt < 2 then Error "nope" else Ok (attempt * 10))
-  in
-  Alcotest.(check int) "succeeds on attempt 2" 20 v;
-  Alcotest.(check int) "two retries logged" 2 (Log.summary log).Log.retries;
-  let log = Log.create () in
-  match
-    Retry.run ~log ~policy ~stage:"st" ~design:"d" (fun _ -> Error "always")
-  with
-  | _ -> Alcotest.fail "exhaustion must raise"
-  | exception Fail.Stage_failure f ->
-      Alcotest.(check string) "stage" "st" f.Fail.stage;
-      Alcotest.(check string) "design" "d" f.Fail.design;
-      Alcotest.(check int) "attempts" 4 f.Fail.attempts;
-      Alcotest.(check bool) "typed diag" true (has_diag "retries-exhausted" f);
-      Alcotest.(check int) "event trail carried" 3 (List.length f.Fail.events)
 
 let test_reseed () =
   Alcotest.(check int) "attempt 0 is the seed itself" 42
@@ -126,15 +108,7 @@ let packed =
      let pl = Placement.create buffered in
      Global.place ~seed:3 pl;
      let q = Quadrisect.legalize arch pl in
-     let side = sqrt arch.Arch.tile_area in
-     let pl =
-       {
-         pl with
-         Placement.die_w = float_of_int q.Quadrisect.cols *. side;
-         die_h = float_of_int q.Quadrisect.rows *. side;
-       }
-     in
-     Quadrisect.snap q pl;
+     let pl = Quadrisect.snap q pl in
      (buffered, pl, q))
 
 let inject_seeds = [ 1; 2; 3; 4; 5 ]
@@ -244,6 +218,72 @@ let test_route_escalation_heals () =
        log);
   Alcotest.(check bool) "no degraded guarantee" true
     ((Log.summary log).Log.degraded = 0)
+
+let test_pack_relaxation () =
+  (* A target utilization of 100 starts the array at 2x2, and its 12
+     growth steps stop at 13x13, too small for the Test-scale FPU on the
+     LUT PLB: the first attempt fails and the ladder relaxes the target
+     (100 * 0.009 = 0.9) for a second attempt that fits.  The ladder is
+     the flow's own [pack:quadrisect] stage, so a Minchan search records
+     its events into the log and, as instants inside [minchan:frontend],
+     onto the trace.  With one attempt the same start is fatal. *)
+  let nl = Fpu.build ~exp_bits:5 ~mant_bits:8 () in
+  let policy =
+    {
+      Policy.default with
+      Policy.pack_utilization = 100.0;
+      pack_relaxation = 0.009;
+    }
+  in
+  let log = Log.create () and trace = Trace.create () in
+  let r =
+    Minchan.search ~policy ~w_max:1 ~max_iterations:1 ~log ~trace
+      Arch.lut_plb nl
+  in
+  Alcotest.(check bool) "relaxed attempt packs" true
+    (r.Minchan.array_cols > 13);
+  (match Log.events log with
+  | [
+   Log.Retry { stage = "pack:quadrisect"; attempt = 1; _ };
+   Log.Escalation { stage = "pack:quadrisect"; what };
+  ] ->
+      Alcotest.(check bool) "target relaxed" true
+        (contains what "100.00 -> 0.90")
+  | _ ->
+      Alcotest.failf "unexpected events: %s"
+        (String.concat "; " (Log.strings log)));
+  let events = Trace.events trace in
+  let t0, t1 =
+    List.find_map
+      (function
+        | Span.Complete { name = "minchan:frontend"; ts_ns; dur_ns; _ } ->
+            Some (ts_ns, Int64.add ts_ns dur_ns)
+        | _ -> None)
+      events
+    |> Option.get
+  in
+  Alcotest.(check (list string))
+    "ladder instants inside the front-end span"
+    [ "resil:retry"; "resil:escalate" ]
+    (List.filter_map
+       (function
+         | Span.Instant { name; ts_ns; _ }
+           when String.starts_with ~prefix:"resil:" name
+                && ts_ns >= t0 && ts_ns <= t1 ->
+             Some name
+         | _ -> None)
+       events);
+  match
+    Minchan.search
+      ~policy:{ policy with Policy.max_attempts = 1 }
+      ~w_max:1 ~max_iterations:1 Arch.lut_plb nl
+  with
+  | _ -> Alcotest.fail "an exhausted ladder must raise"
+  | exception Fail.Stage_failure f ->
+      Alcotest.(check string) "stage" "pack:quadrisect" f.Fail.stage;
+      Alcotest.(check string) "design" (Netlist.design_name nl) f.Fail.design;
+      Alcotest.(check int) "attempts" 1 f.Fail.attempts;
+      Alcotest.(check bool) "typed diag" true (has_diag "pack-unfit" f)
 
 let test_anneal_restart () =
   (* An absurd starting temperature turns the annealer into a random walk
@@ -422,7 +462,6 @@ let () =
         [
           Alcotest.test_case "policy names" `Quick test_policy_names;
           Alcotest.test_case "log recorder" `Quick test_log_recorder;
-          Alcotest.test_case "retry driver" `Quick test_retry_driver;
           Alcotest.test_case "reseed" `Quick test_reseed;
           Alcotest.test_case "failure adoption" `Quick test_fail_adoption;
           Alcotest.test_case "fit-error message" `Quick test_fit_error_message;
@@ -439,6 +478,7 @@ let () =
           Alcotest.test_case "route capacity heals" `Quick
             test_route_escalation_heals;
           Alcotest.test_case "anneal restart" `Quick test_anneal_restart;
+          Alcotest.test_case "pack relaxation" `Quick test_pack_relaxation;
           Alcotest.test_case "cec bounded undecided" `Quick
             test_cec_bounded_undecided;
           Alcotest.test_case "cec degrades to fast" `Quick
